@@ -9,26 +9,26 @@
 //! partial fitness signals.
 //!
 //! Like the GP engine, the baseline fans its simulations out over the
-//! parallel evaluation pool: patch generation stays serial (RNG draws
-//! unchanged), batches are evaluated across workers, and results merge
-//! back in submission order — so the accepted repair, the evaluation
-//! count, and the best-so-far trajectory are identical for any
-//! [`BruteConfig::jobs`] value.
+//! contained dispatch: patch generation stays serial (RNG draws
+//! unchanged), batches are applied and evaluated across workers, and
+//! results merge back in submission order — so the accepted repair, the
+//! evaluation count, and the best-so-far trajectory are identical for
+//! any [`BruteConfig::jobs`] value. Unlike the GP engine it keeps no
+//! trial cache: every dispatched patch counts as one evaluation, the
+//! uniform search's cost measure.
 
 use std::time::{Duration, Instant};
 
 use cirfix_telemetry::{Event, HeartbeatEvent, Observer, Profiler, Span};
 use rand::SeedableRng;
 
-use crate::engine::{resolve_jobs, run_batch};
+use crate::engine::{resolve_jobs, Dispatch, Probe};
 use crate::faultloc::FaultLoc;
 use crate::fitness::FitnessParams;
 use crate::mutation::{all_stmt_ids, mutate, MutationParams};
 use crate::oracle::RepairProblem;
 use crate::patch::{apply_patch, Edit, Patch};
-use crate::repair::{
-    evaluate_profiled, panicked_evaluation, RepairResult, RepairStatus, RunTotals,
-};
+use crate::repair::{RepairResult, RepairStatus, RunTotals};
 use crate::templates::applicable_templates;
 
 /// Resource bounds for the brute-force baseline.
@@ -117,17 +117,17 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
         trials: 1,
         fitness_evals: evals,
         wall_time: wall,
-        generations: 0,
-        mutants_rejected_static: 0,
         jobs: jobs as u32,
         eval_busy: busy,
-        store_hits: 0,
-        store_writes: 0,
-        timeouts: 0,
-        panics: 0,
-        exhausted: 0,
-        pattern_hits: 0,
-        corpus_skipped: 0,
+        ..RunTotals::default()
+    };
+    let dispatch = Dispatch {
+        problem,
+        params: config.fitness,
+        jobs,
+        deadline,
+        eval_timeout: None,
+        profiler,
     };
 
     // Evaluates one batch across the worker pool and merges the
@@ -148,16 +148,9 @@ pub fn brute_force_repair(problem: &RepairProblem, config: BruteConfig) -> Repai
         if admit < patches.len() {
             *cut = true;
         }
-        let (mut results, batch_busy, panicked) =
-            run_batch(jobs, deadline, &patches[..admit], |patch| {
-                evaluate_profiled(problem, patch, config.fitness, profiler)
-            });
+        let probes: Vec<Probe> = patches[..admit].iter().map(Probe::Patch).collect();
+        let (results, batch_busy) = dispatch.run(&probes);
         *busy += batch_busy;
-        // Same containment as the GP loop: a panicking candidate is
-        // classified worst-fitness, not mistaken for a deadline cut.
-        for (i, msg) in panicked {
-            results[i] = Some(panicked_evaluation(problem, &msg, 1.0));
-        }
         for (patch, result) in patches[..admit].iter().zip(results) {
             let Some(eval) = result else {
                 // Deadline cancelled the rest of the batch.

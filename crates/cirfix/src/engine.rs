@@ -1,35 +1,40 @@
-//! The parallel fitness-evaluation engine.
+//! The parallel fitness-evaluation engine: one contained dispatch.
 //!
 //! Fitness evaluation — one full instrumented-testbench simulation per
 //! candidate — is the dominant cost of Algorithm 1 (the paper budgets
-//! 12 wall-clock hours per trial, §3.5). [`evaluate`](crate::evaluate)
-//! is a pure function of `(&RepairProblem, &Patch, FitnessParams)`, so
-//! a generation's children can be scored concurrently.
+//! 12 wall-clock hours per trial, §3.5). Scoring a candidate is a pure
+//! function of `(&RepairProblem, variant, FitnessParams)`, so a batch
+//! of candidates can be scored concurrently.
 //!
-//! The design keeps the search *bit-deterministic for any worker
-//! count*: candidate generation stays serial on the coordinating thread
-//! (every RNG draw is unchanged), children accumulate into fixed-size
-//! batches, and [`run_batch`] fans each batch out over a
-//! `std::thread::scope` worker pool, returning results **in submission
-//! order**. Everything order-sensitive — cache inserts, budget
-//! accounting, telemetry emission, best/`found` tracking — happens on
-//! the coordinating thread during the in-order merge, so `jobs = 1` and
-//! `jobs = 8` produce identical `RepairResult`s for the same seed.
+//! [`Dispatch::run`] is the only place a candidate is simulated. It
+//! fans a batch of [`Probe`]s out over a `std::thread::scope` worker
+//! pool under an optional wall-clock deadline, contains every panic,
+//! and returns the results **in submission order**. Everything
+//! order-sensitive — cache inserts, budget accounting, telemetry,
+//! best/`found` tracking — stays with the caller (the
+//! [`Evaluator`](crate::evaluator::Evaluator) or the brute-force
+//! baseline), which merges on the coordinating thread, so `jobs = 1`
+//! and `jobs = 8` produce identical results for the same seed.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use cirfix_ast::SourceFile;
+use cirfix_telemetry::{Phase, Profiler};
+
+use crate::evaluator::{evaluate_variant, node_count, Evaluation, Evaluator};
+use crate::faults::FaultKind;
 use crate::fitness::FitnessParams;
 use crate::oracle::RepairProblem;
-use crate::patch::Patch;
-use crate::repair::{evaluate, panicked_evaluation, Evaluation};
+use crate::outcome::EvalOutcome;
+use crate::patch::{apply_patch, Patch};
+use crate::repair::RepairConfig;
 
 /// Renders a panic payload (whatever was passed to `panic!`) as text
 /// for the contained candidate's error message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -58,41 +63,147 @@ pub fn resolve_jobs(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Evaluates `items` on a pool of `jobs` scoped worker threads and
-/// returns the results in submission order, together with the summed
-/// worker busy time (for utilization accounting).
+/// Applies `patch` to the problem's source under the profiler's patch
+/// phase.
+pub(crate) fn apply(
+    problem: &RepairProblem,
+    patch: &Patch,
+    profiler: Option<&Profiler>,
+) -> SourceFile {
+    let _span = profiler.map(|p| p.span(Phase::Parse));
+    apply_patch(&problem.source, &problem.design_modules, patch).0
+}
+
+/// One candidate for the worker pool.
+pub(crate) enum Probe<'a> {
+    /// A variant the coordinating thread already applied, with its
+    /// growth factor and the fault (if any) scheduled for it.
+    Variant {
+        variant: &'a SourceFile,
+        growth: f64,
+        fault: Option<FaultKind>,
+    },
+    /// A patch the worker applies itself (the brute-force baseline
+    /// keeps patch application on the pool).
+    Patch(&'a Patch),
+}
+
+/// What every probe of one dispatch shares.
+pub(crate) struct Dispatch<'a> {
+    pub problem: &'a RepairProblem,
+    pub params: FitnessParams,
+    /// Worker threads (already resolved; at least one).
+    pub jobs: usize,
+    /// Probes whose turn comes after this instant are skipped.
+    pub deadline: Option<Instant>,
+    /// Per-candidate wall-clock budget.
+    pub eval_timeout: Option<Duration>,
+    pub profiler: Option<&'a Profiler>,
+}
+
+impl Dispatch<'_> {
+    /// Scores `probes` and returns the results in submission order,
+    /// together with the summed worker busy time.
+    ///
+    /// A probe whose turn comes after the deadline is *skipped*: its
+    /// slot stays `None` and no work runs for it. Every other slot is
+    /// `Some`, whatever the worker count — the property the determinism
+    /// suite pins down.
+    ///
+    /// Each probe runs under [`catch_unwind`], so a panicking candidate
+    /// never tears down its worker or poisons the pool: it is scored
+    /// worst-fitness as [`EvalOutcome::Panicked`] and the worker keeps
+    /// draining the queue.
+    pub(crate) fn run(&self, probes: &[Probe]) -> (Vec<Option<Evaluation>>, Duration) {
+        run_pool(self.jobs, self.deadline, probes, |probe| {
+            // The closure borrows only shared state, so observing it
+            // after an unwind is safe.
+            catch_unwind(AssertUnwindSafe(|| self.score(probe))).unwrap_or_else(|payload| {
+                let growth = match probe {
+                    Probe::Variant { growth, .. } => *growth,
+                    Probe::Patch(_) => 1.0,
+                };
+                let msg = format!("candidate evaluation panicked: {}", panic_message(payload));
+                Evaluation::worst(self.problem, EvalOutcome::Panicked, msg, growth)
+            })
+        })
+    }
+
+    fn score(&self, probe: &Probe) -> Evaluation {
+        let applied;
+        let (variant, growth, fault) = match probe {
+            Probe::Variant {
+                variant,
+                growth,
+                fault,
+            } => (*variant, *growth, *fault),
+            Probe::Patch(patch) => {
+                applied = apply(self.problem, patch, self.profiler);
+                let growth =
+                    node_count(&applied) as f64 / node_count(&self.problem.source).max(1) as f64;
+                (&applied, growth, None)
+            }
+        };
+        let t0 = self.profiler.map(|_| Instant::now());
+        let eval = evaluate_variant(
+            self.problem,
+            variant,
+            growth,
+            self.params,
+            self.eval_timeout,
+            fault,
+            self.profiler,
+        );
+        // One whole-evaluation latency sample per simulated probe.
+        if let (Some(p), Some(t0)) = (self.profiler, t0) {
+            p.record_eval(t0.elapsed().as_nanos() as u64);
+        }
+        eval
+    }
+}
+
+/// Runs `work` over `items` on a pool of `jobs` scoped worker threads
+/// and returns the results in submission order plus the summed busy
+/// time. When one worker suffices (a single probe, or `jobs = 1`) the
+/// items run inline on the calling thread: no thread is spawned, and
+/// the simulator's thread-local compile cache stays warm from one
+/// dispatch to the next.
 ///
 /// Workers pull items from a shared queue in submission order, so one
 /// slow simulation never blocks the others. An item whose turn comes
-/// after `deadline` is *skipped*: its slot stays `None` and no work
-/// runs for it. When no deadline fires every slot is `Some` or appears
-/// in the panic list, whatever the worker count — the property the
-/// determinism suite pins down.
-///
-/// Each call to `work` runs under [`catch_unwind`], so a panicking
-/// candidate never tears down its worker or poisons the pool: the
-/// worker stays alive, records `(index, panic message)` in the third
-/// return slot, and keeps draining the queue. Callers classify the
-/// panicked slots (worst fitness) instead of crashing.
-pub(crate) fn run_batch<T, R, F>(
+/// after `deadline` is skipped and its slot stays `None`.
+fn run_pool<T, R, F>(
     jobs: usize,
     deadline: Option<Instant>,
     items: &[T],
     work: F,
-) -> (Vec<Option<R>>, Duration, Vec<(usize, String)>)
+) -> (Vec<Option<R>>, Duration)
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if items.is_empty() {
-        return (Vec::new(), Duration::ZERO, Vec::new());
-    }
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
     let workers = jobs.max(1).min(items.len());
+    if workers <= 1 {
+        let mut busy = Duration::ZERO;
+        let results = items
+            .iter()
+            .map(|item| {
+                if expired() {
+                    return None;
+                }
+                let t0 = Instant::now();
+                let r = work(item);
+                busy += t0.elapsed();
+                Some(r)
+            })
+            .collect();
+        return (results, busy);
+    }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let busy_total = Mutex::new(Duration::ZERO);
-    let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -104,26 +215,13 @@ where
                     }
                     // Prompt cancellation: once the wall-clock budget is
                     // gone, drain the queue without simulating anything.
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                    if expired() {
                         continue;
                     }
                     let t0 = Instant::now();
-                    // `work` borrows only shared state (`&T`, `Fn`), so
-                    // observing it after an unwind is safe; the slot for
-                    // a panicked item is simply never written.
-                    let r = catch_unwind(AssertUnwindSafe(|| work(&items[i])));
+                    let r = work(&items[i]);
                     busy += t0.elapsed();
-                    match r {
-                        Ok(r) => {
-                            *slots[i].lock().expect("worker slot poisoned") = Some(r);
-                        }
-                        Err(payload) => {
-                            panics
-                                .lock()
-                                .expect("panic list poisoned")
-                                .push((i, panic_message(payload)));
-                        }
-                    }
+                    *slots[i].lock().expect("worker slot poisoned") = Some(r);
                 }
                 *busy_total.lock().expect("busy counter poisoned") += busy;
             });
@@ -133,13 +231,9 @@ where
         .into_iter()
         .map(|m| m.into_inner().expect("worker slot poisoned"))
         .collect();
-    let mut panicked = panics.into_inner().expect("panic list poisoned");
-    // Workers race to append; sort so callers see deterministic order.
-    panicked.sort_unstable_by_key(|&(i, _)| i);
     (
         results,
         busy_total.into_inner().expect("busy counter poisoned"),
-        panicked,
     )
 }
 
@@ -147,59 +241,27 @@ where
 /// calling [`evaluate`](crate::evaluate) in a loop. Results come back
 /// in submission order; no budget is involved.
 ///
-/// Identical patches are simulated once: GA populations and repeated
-/// sweeps carry many exact-duplicate candidates, and evaluation is a
-/// pure function of (problem, patch, params), so duplicates within one
-/// batch share a single simulation and receive clones of its result.
+/// The patches go through a fresh store-free [`Evaluator`] with no
+/// bloat or lint gate, so identical patches within one call are
+/// simulated once and share the result.
 ///
-/// `jobs = 0` resolves via [`resolve_jobs`]. This is the bulk primitive
-/// used by the brute-force baseline and the speedup benchmark; the GP
-/// loop goes through its richer cache-and-budget-aware batch path.
+/// `jobs = 0` resolves via [`resolve_jobs`].
 pub fn evaluate_many(
     problem: &RepairProblem,
     patches: &[Patch],
     params: FitnessParams,
     jobs: usize,
 ) -> Vec<Evaluation> {
-    // Dedup in first-occurrence order so results stay deterministic
-    // regardless of worker scheduling.
-    let mut seen: HashMap<&Patch, usize> = HashMap::with_capacity(patches.len());
-    let mut unique: Vec<&Patch> = Vec::with_capacity(patches.len());
-    let mut slot_of: Vec<usize> = Vec::with_capacity(patches.len());
-    for p in patches {
-        let slot = *seen.entry(p).or_insert_with(|| {
-            unique.push(p);
-            unique.len() - 1
-        });
-        slot_of.push(slot);
-    }
-    let (mut results, _, panicked) = run_batch(resolve_jobs(jobs), None, &unique, |p| {
-        evaluate(problem, p, params)
-    });
-    let panic_msg: HashMap<usize, String> = panicked.into_iter().collect();
-    // Each unique result is *moved* into its last output slot and cloned
-    // into any earlier ones.
-    let mut last_use: Vec<usize> = vec![0; unique.len()];
-    for (i, &u) in slot_of.iter().enumerate() {
-        last_use[u] = i;
-    }
-    slot_of
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| {
-            if results[u].is_none() {
-                return panicked_evaluation(
-                    problem,
-                    panic_msg.get(&u).map_or("worker lost", String::as_str),
-                    1.0,
-                );
-            }
-            if last_use[u] == i {
-                results[u].take().expect("present")
-            } else {
-                results[u].as_ref().expect("present").clone()
-            }
-        })
+    let config = RepairConfig {
+        fitness: params,
+        jobs,
+        max_growth: f64::MAX,
+        ..RepairConfig::paper()
+    };
+    Evaluator::new(problem, &config)
+        .evaluate(patches, &[], false)
+        .into_iter()
+        .map(|e| e.expect("an unbudgeted evaluation always resolves"))
         .collect()
 }
 
@@ -208,58 +270,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_batch_preserves_submission_order() {
+    fn run_pool_preserves_submission_order() {
         let items: Vec<u64> = (0..100).collect();
         for jobs in [1, 3, 8] {
-            let (out, _, panicked) = run_batch(jobs, None, &items, |&x| x * 2);
-            assert!(panicked.is_empty());
+            let (out, _) = run_pool(jobs, None, &items, |&x| x * 2);
             let got: Vec<u64> = out.into_iter().map(Option::unwrap).collect();
             assert_eq!(got, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
         }
     }
 
     #[test]
-    fn run_batch_skips_items_past_the_deadline() {
+    fn run_pool_skips_items_past_the_deadline() {
         let items: Vec<u64> = (0..64).collect();
         let deadline = Instant::now(); // already expired
-        let (out, busy, panicked) = run_batch(4, Some(deadline), &items, |&x| x);
-        assert!(out.iter().all(Option::is_none), "all items skipped");
-        assert_eq!(busy, Duration::ZERO);
-        assert!(panicked.is_empty());
+        for jobs in [1, 4] {
+            let (out, busy) = run_pool(jobs, Some(deadline), &items, |&x| x);
+            assert!(out.iter().all(Option::is_none), "all items skipped");
+            assert_eq!(busy, Duration::ZERO);
+        }
     }
 
     #[test]
-    fn run_batch_handles_empty_input() {
-        let (out, busy, panicked) = run_batch::<u64, u64, _>(4, None, &[], |&x| x);
+    fn run_pool_handles_empty_input() {
+        let (out, busy) = run_pool::<u64, u64, _>(4, None, &[], |&x| x);
         assert!(out.is_empty());
         assert_eq!(busy, Duration::ZERO);
-        assert!(panicked.is_empty());
-    }
-
-    #[test]
-    fn run_batch_contains_panics_without_poisoning_workers() {
-        let items: Vec<u64> = (0..50).collect();
-        for jobs in [1, 4] {
-            let (out, _, panicked) = run_batch(jobs, None, &items, |&x| {
-                assert!(x % 7 != 3, "injected panic at {x}");
-                x * 2
-            });
-            // Every non-panicking item still completed — the workers
-            // survived their neighbours' panics.
-            let expect_panics: Vec<usize> = (0..50usize).filter(|&x| x % 7 == 3).collect();
-            let got_panics: Vec<usize> = panicked.iter().map(|&(i, _)| i).collect();
-            assert_eq!(got_panics, expect_panics, "jobs={jobs}");
-            for (i, slot) in out.iter().enumerate() {
-                if i % 7 == 3 {
-                    assert!(slot.is_none());
-                } else {
-                    assert_eq!(*slot, Some(i as u64 * 2));
-                }
-            }
-            for (i, msg) in &panicked {
-                assert!(msg.contains(&format!("injected panic at {i}")), "{msg}");
-            }
-        }
     }
 
     #[test]

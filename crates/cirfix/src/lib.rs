@@ -68,6 +68,7 @@ mod brute;
 mod control;
 mod crossover;
 mod engine;
+mod evaluator;
 pub mod explain;
 mod faultloc;
 mod faults;
@@ -92,13 +93,14 @@ pub use cirfix_telemetry::Observer;
 pub use control::{BatchGate, SearchControl};
 pub use crossover::crossover;
 pub use engine::{evaluate_many, resolve_jobs};
+pub use evaluator::{evaluate, strip_hierarchy, Evaluation};
 pub use faultloc::{fault_loc_event, fault_localization, FaultLoc};
 pub use faults::{FaultInjector, FaultKind, FaultPlan};
 pub use fitness::{failure_report, fitness, population_stats, FitnessParams, FitnessReport};
 pub use mined::{
     compose_priors, load_mined_patterns, mined_prior, mined_template_candidates, MINED_BOOST_CAP,
 };
-pub use minimize::{minimize, minimize_observed};
+pub use minimize::minimize;
 pub use mutation::{all_stmt_ids, mutate, mutate_with_prior, MutationParams};
 pub use oracle::{
     degrade_oracle, oracle_from_golden, simulate_with_probe, simulate_with_probe_cancellable,
@@ -111,8 +113,7 @@ pub use persist::{
     variant_fingerprint,
 };
 pub use repair::{
-    evaluate, repair, repair_with_trials, strip_hierarchy, Evaluation, RepairConfig, RepairResult,
-    RepairStatus, Repairer, RunTotals,
+    repair, repair_with_trials, RepairConfig, RepairResult, RepairStatus, Repairer, RunTotals,
 };
 pub use report::RunReport;
 pub use select::{elite_indices, tournament_select};

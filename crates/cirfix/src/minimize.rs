@@ -5,33 +5,7 @@
 //! list from which no single element can be dropped without losing
 //! plausibility, using the ddmin algorithm in polynomial time.
 
-use cirfix_telemetry::{CandidateEvent, Event, Observer, Span};
-
 use crate::patch::{Edit, Patch};
-
-/// [`minimize`] with telemetry: the whole pass runs under a
-/// `"minimize"` span, and each plausibility probe is reported as a
-/// (non-cached) candidate evaluation of the probed patch length.
-pub fn minimize_observed(
-    patch: &Patch,
-    observer: &Observer,
-    mut is_plausible: impl FnMut(&Patch) -> bool,
-) -> Patch {
-    let _span = Span::enter("minimize", observer.sink());
-    minimize(patch, |p| {
-        let ok = is_plausible(p);
-        observer.emit(|| {
-            Event::Candidate(CandidateEvent {
-                patch_len: p.len() as u64,
-                growth_factor: 1.0,
-                fitness: if ok { 1.0 } else { 0.0 },
-                cached: false,
-                op: "minimize".to_string(),
-            })
-        });
-        ok
-    })
-}
 
 /// Minimizes `patch` with respect to `is_plausible` (which must hold for
 /// the input patch). Returns a one-minimal patch: removing any single

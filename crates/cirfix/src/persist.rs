@@ -22,11 +22,12 @@ use cirfix_sim::{ProbeSchedule, SimMetrics};
 use cirfix_store::{field, field_str, field_u64, Digest, Fnv128};
 use cirfix_telemetry::JsonValue;
 
+use crate::evaluator::Evaluation;
 use crate::fitness::FitnessReport;
 use crate::oracle::RepairProblem;
 use crate::outcome::EvalOutcome;
 use crate::patch::{Edit, Patch, SensTemplate};
-use crate::repair::{Evaluation, RepairConfig, RepairResult, RepairStatus, RunTotals};
+use crate::repair::{RepairConfig, RepairResult, RepairStatus, RunTotals};
 
 // ---------------------------------------------------------------------------
 // Fingerprints

@@ -7,37 +7,30 @@
 //! search stops at the first plausible repair (fitness 1.0) or when
 //! resources are exhausted, and the winning patch is minimized.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use cirfix_ast::print;
 use cirfix_ast::NodeId;
-use cirfix_sim::{CancelToken, SimError, SimMetrics};
 use cirfix_store::Digest;
-use cirfix_telemetry::{
-    EvalOutcomeEvent, Event, GenerationStats, HeartbeatEvent, Observer, Phase, Profiler, SimStats,
-    Span, StoreEvent,
-};
+use cirfix_telemetry::{Event, GenerationStats, HeartbeatEvent, Observer, Span, StoreEvent};
 use rand::Rng;
 use rand::SeedableRng;
 
 use crate::control::SearchControl;
 use crate::crossover::crossover;
-use crate::engine::panic_message;
+use crate::evaluator::{EvalCounts, Evaluation, Evaluator};
 use crate::faultloc::{fault_loc_event, fault_localization, FaultLoc};
-use crate::faults::{FaultInjector, FaultKind};
-use crate::fitness::{failure_report, fitness, population_stats, FitnessParams, FitnessReport};
+use crate::faults::FaultInjector;
+use crate::fitness::{population_stats, FitnessParams};
 use crate::mined::{compose_priors, mined_prior, mined_random_template};
 use crate::minimize::minimize;
 use crate::mutation::{mutate_with_prior, MutationParams};
-use crate::oracle::{simulate_with_probe_profiled, RepairProblem};
-use crate::outcome::EvalOutcome;
+use crate::oracle::RepairProblem;
 use crate::patch::{apply_patch, Patch};
-use crate::persist::variant_fingerprint;
 use crate::select::{elite_indices, tournament_select};
 use crate::session::{Checkpoint, ResumeState, SessionRecorder, SharedEvalCache};
-use crate::staticfilter::{lint_prior, StaticFilter};
+use crate::staticfilter::lint_prior;
 use crate::templates::random_template;
 
 /// Tunable parameters of Algorithm 1.
@@ -113,7 +106,7 @@ pub struct RepairConfig {
     pub halt_after: Option<u32>,
     /// Per-candidate wall-clock budget. A simulation still running when
     /// its budget expires is cancelled cooperatively and the candidate
-    /// scored worst-fitness with [`EvalOutcome::Timeout`] instead of
+    /// scored worst-fitness with [`EvalOutcome::Timeout`](crate::EvalOutcome::Timeout) instead of
     /// stalling its worker. `None` (the default) disables the budget —
     /// the fully deterministic mode.
     pub eval_timeout: Option<Duration>,
@@ -180,28 +173,6 @@ impl RepairConfig {
     }
 }
 
-/// The cached outcome of evaluating one patch.
-#[derive(Debug, Clone)]
-pub struct Evaluation {
-    /// Normalized fitness in `[0, 1]`.
-    pub score: f64,
-    /// `false` when the variant failed to elaborate or crashed.
-    pub compiled: bool,
-    /// Mismatched variables (leaf names) for fault localization.
-    pub mismatched: BTreeSet<String>,
-    /// The detailed report, when simulation succeeded.
-    pub report: Option<FitnessReport>,
-    /// Error text, when it did not.
-    pub error: Option<String>,
-    /// Variant AST size relative to the original (1.0 = unchanged).
-    pub growth: f64,
-    /// Simulator effort counters, when a simulation ran to completion.
-    pub sim_metrics: Option<SimMetrics>,
-    /// How the evaluation concluded — every candidate gets exactly one
-    /// classification from the unified taxonomy.
-    pub outcome: EvalOutcome,
-}
-
 /// Why the search stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairStatus {
@@ -244,13 +215,13 @@ pub struct RunTotals {
     /// Evaluations written through to the persistent store.
     pub store_writes: u64,
     /// Candidates whose per-candidate wall-clock budget expired
-    /// ([`EvalOutcome::Timeout`]).
+    /// ([`EvalOutcome::Timeout`](crate::EvalOutcome::Timeout)).
     pub timeouts: u64,
     /// Candidates whose evaluation panicked and was contained
-    /// ([`EvalOutcome::Panicked`]).
+    /// ([`EvalOutcome::Panicked`](crate::EvalOutcome::Panicked)).
     pub panics: u64,
     /// Candidates that hit a hard resource cap
-    /// ([`EvalOutcome::ResourceExhausted`]).
+    /// ([`EvalOutcome::ResourceExhausted`](crate::EvalOutcome::ResourceExhausted)).
     pub exhausted: u64,
     /// Template draws that landed on a mined-pattern-endorsed instance
     /// (zero unless [`RepairConfig::mined_patterns`] is non-empty).
@@ -303,318 +274,24 @@ impl RepairResult {
     }
 }
 
-/// The fixed error text for a candidate whose per-candidate wall-clock
-/// budget expired. Deliberately free of wall-clock or simulation-time
-/// detail so persisted timeout evaluations are byte-identical across
-/// runs.
-pub(crate) const TIMEOUT_ERROR: &str = "evaluation exceeded its wall-clock budget";
-
-/// Evaluates one patch against a repair problem: apply → simulate →
-/// fitness. Compile failures and runtime errors score 0.
-pub fn evaluate(problem: &RepairProblem, patch: &Patch, params: FitnessParams) -> Evaluation {
-    evaluate_profiled(problem, patch, params, None)
-}
-
-/// [`evaluate`] with optional per-phase busy attribution (the
-/// brute-force baseline's instrumentation hook).
-pub(crate) fn evaluate_profiled(
-    problem: &RepairProblem,
-    patch: &Patch,
-    params: FitnessParams,
-    profiler: Option<&Profiler>,
-) -> Evaluation {
-    let parse_span = profiler.map(|p| p.span(Phase::Parse));
-    let (variant, _) = apply_patch(&problem.source, &problem.design_modules, patch);
-    let growth = node_count(&variant) as f64 / node_count(&problem.source).max(1) as f64;
-    drop(parse_span);
-    evaluate_variant(problem, &variant, growth, params, None, None, profiler)
-}
-
-/// The simulation half of [`evaluate`]: scores an already-applied
-/// variant. Pure in its inputs, so worker threads can run it
-/// concurrently; all AST work (patch application, growth accounting)
-/// stays with the caller.
-///
-/// `budget` is the per-candidate wall-clock budget: when set, the
-/// simulation runs under a deadline [`CancelToken`] and an expiry is
-/// classified [`EvalOutcome::Timeout`] with a fixed error string.
-/// `fault` is the chaos-testing hook — an injected fault scheduled for
-/// this evaluation by a [`FaultInjector`]. `profiler`, when present,
-/// receives elaborate/simulate/score busy attribution and one
-/// whole-evaluation latency sample (atomics only, so worker threads
-/// record concurrently).
-pub(crate) fn evaluate_variant(
-    problem: &RepairProblem,
-    variant: &cirfix_ast::SourceFile,
-    growth: f64,
-    params: FitnessParams,
-    budget: Option<Duration>,
-    fault: Option<FaultKind>,
-    profiler: Option<&Profiler>,
-) -> Evaluation {
-    match profiler {
-        None => evaluate_variant_inner(problem, variant, growth, params, budget, fault, None),
-        Some(p) => {
-            let t0 = Instant::now();
-            let eval =
-                evaluate_variant_inner(problem, variant, growth, params, budget, fault, Some(p));
-            p.record_eval(t0.elapsed().as_nanos() as u64);
-            eval
-        }
-    }
-}
-
-fn evaluate_variant_inner(
-    problem: &RepairProblem,
-    variant: &cirfix_ast::SourceFile,
-    growth: f64,
-    params: FitnessParams,
-    budget: Option<Duration>,
-    fault: Option<FaultKind>,
-    profiler: Option<&Profiler>,
-) -> Evaluation {
-    let deadline = budget.map(|b| Instant::now() + b);
-    match fault {
-        Some(FaultKind::Panic) => panic!("injected fault: worker panic"),
-        Some(FaultKind::Hang) => {
-            // A deterministic stand-in for a candidate that wedges its
-            // worker: spin until the candidate budget (or a short
-            // fallback when budgets are off) cancels it, then classify
-            // exactly like a real cancelled simulation.
-            let until = deadline.unwrap_or_else(|| Instant::now() + Duration::from_millis(50));
-            let token = CancelToken::with_deadline(until);
-            while !token.is_cancelled() {
-                std::thread::yield_now();
-            }
-            return failure_evaluation(problem, growth, &SimError::Cancelled { time: 0 });
-        }
-        Some(FaultKind::SimError) => {
-            return failure_evaluation(
-                problem,
-                growth,
-                &SimError::Runtime {
-                    message: "injected fault: simulated failure".into(),
-                    time: 0,
-                },
-            );
-        }
-        None => {}
-    }
-    let token = deadline.map(CancelToken::with_deadline);
-    match simulate_with_probe_profiled(
-        variant,
-        &problem.top,
-        &problem.probe,
-        &problem.sim,
-        token,
-        profiler,
-    ) {
-        Ok((outcome, trace, _)) => {
-            let report = match profiler {
-                Some(p) => {
-                    let _score = p.span(Phase::Score);
-                    fitness(&trace, &problem.oracle, params)
-                }
-                None => fitness(&trace, &problem.oracle, params),
-            };
-            Evaluation {
-                score: report.score,
-                compiled: true,
-                mismatched: report
-                    .mismatched_vars
-                    .iter()
-                    .map(|v| strip_hierarchy(v))
-                    .collect(),
-                report: Some(report),
-                error: None,
-                growth,
-                sim_metrics: Some(outcome.metrics),
-                outcome: EvalOutcome::Ok,
-            }
-        }
-        Err(e) => failure_evaluation(problem, growth, &e),
-    }
-}
-
-/// The worst-fitness evaluation for a failed simulation, classified by
-/// the unified outcome taxonomy. Cancellations (budget expiries) get
-/// the fixed [`TIMEOUT_ERROR`] text so their persisted form does not
-/// depend on how far the simulation got before the deadline fired.
-fn failure_evaluation(problem: &RepairProblem, growth: f64, e: &SimError) -> Evaluation {
-    let outcome = EvalOutcome::from_sim_error(e);
-    let error = if outcome == EvalOutcome::Timeout {
-        TIMEOUT_ERROR.to_string()
-    } else {
-        e.to_string()
-    };
-    Evaluation {
-        score: 0.0,
-        compiled: !e.is_compile_failure(),
-        mismatched: problem
-            .oracle
-            .vars()
-            .iter()
-            .map(|v| strip_hierarchy(v))
-            .collect(),
-        report: Some(failure_report(&problem.oracle)),
-        error: Some(error),
-        growth,
-        sim_metrics: None,
-        outcome,
-    }
-}
-
-/// The worst-fitness evaluation for a candidate whose worker panicked.
-/// The panic was contained by the pool ([`catch_unwind`]); the
-/// candidate is classified [`EvalOutcome::Panicked`] and the search
-/// continues.
-pub(crate) fn panicked_evaluation(problem: &RepairProblem, msg: &str, growth: f64) -> Evaluation {
-    Evaluation {
-        score: 0.0,
-        compiled: true,
-        mismatched: problem
-            .oracle
-            .vars()
-            .iter()
-            .map(|v| strip_hierarchy(v))
-            .collect(),
-        report: Some(failure_report(&problem.oracle)),
-        error: Some(format!("candidate evaluation panicked: {msg}")),
-        growth,
-        sim_metrics: None,
-        outcome: EvalOutcome::Panicked,
-    }
-}
-
-/// Strips instance hierarchy from a probed signal name
-/// (`dut.counter_out` → `counter_out`).
-pub fn strip_hierarchy(name: &str) -> String {
-    name.rsplit('.').next().unwrap_or(name).to_string()
-}
-
-/// Total AST node count of a source file (for bloat control).
-fn node_count(file: &cirfix_ast::SourceFile) -> usize {
-    let mut n = 0;
-    cirfix_ast::visit::walk_source(file, &mut |_| n += 1);
-    n
-}
-
-/// Translates simulator effort counters into the telemetry payload.
-fn sim_stats(m: &SimMetrics) -> SimStats {
-    SimStats {
-        active_events: m.active_events,
-        inactive_events: m.inactive_events,
-        nba_flushes: m.nba_flushes,
-        timesteps: m.timesteps,
-        process_resumptions: m.process_resumptions,
-        peak_queue_depth: m.peak_queue_depth,
-    }
-}
-
-impl Evaluation {
-    /// The telemetry payload describing this evaluation of a
-    /// `patch_len`-edit candidate proposed by operator `op`
-    /// (`"original"`, `"template"`, `"mutation"`, `"crossover"`,
-    /// `"minimize"`, or `""` when unknown).
-    pub fn candidate_event(
-        &self,
-        patch_len: usize,
-        cached: bool,
-        op: &str,
-    ) -> cirfix_telemetry::CandidateEvent {
-        cirfix_telemetry::CandidateEvent {
-            patch_len: patch_len as u64,
-            growth_factor: self.growth,
-            fitness: self.score,
-            cached,
-            op: op.to_string(),
-        }
-    }
-}
-
-/// The repair engine: owns the evaluation cache and RNG for one trial.
+/// The repair engine: the search state of one trial (configuration,
+/// RNG, priors, operator mix, session). Every candidate is scored
+/// through its [`Evaluator`].
 pub struct Repairer<'a> {
     problem: &'a RepairProblem,
     config: RepairConfig,
-    cache: HashMap<Patch, Evaluation>,
     rng: rand::rngs::StdRng,
-    evals: u64,
-    cache_hits: u64,
-    minimize_evals: u64,
-    rejected_static: u64,
-    // Fault-containment classification counters, over fresh
-    // simulations only (cached answers keep their stored outcome but
-    // do not re-count).
-    timeouts: u64,
-    panics: u64,
-    exhausted: u64,
-    filter: Option<StaticFilter>,
+    eval: Evaluator<'a>,
     prior: BTreeMap<NodeId, u32>,
     // Template draws that landed on a mined-pattern-endorsed instance.
     pattern_hits: u64,
-    started: Instant,
-    node_budget: usize,
-    // AST node count of the original source (growth denominator).
-    original_nodes: usize,
-    // Patch applications performed (AST work; cache hits do none).
-    patch_applies: u64,
-    // Resolved worker count and cumulative worker busy time.
-    jobs: usize,
-    busy: Duration,
     // Children per operator since the last GenerationStats emission.
     mix: OperatorMix,
-    // Second-level, fingerprint-keyed evaluation cache (cross-trial
-    // memory, or write-through persistent store). `None` keeps the
-    // engine store-free with zero fingerprinting overhead.
-    shared: Option<SharedEvalCache>,
-    // Scenario digest mixed into every variant fingerprint.
-    scenario: Option<Digest>,
-    store_hits: u64,
-    store_writes: u64,
-    // L1 inserts since the last checkpoint, as (patch, fingerprint):
-    // logged as a cache-delta record so a resumed run can restore the
-    // trial cache exactly.
-    pending_delta: Vec<(Patch, Digest)>,
     // Session log writer; checkpoints are written at every generation
     // boundary when present.
     session: Option<SessionRecorder>,
     // Checkpoint to restore instead of running the seed phase.
     resume: Option<ResumeState>,
-    // Per-phase busy attribution and eval-latency histogram. Only
-    // allocated when the observer is live, so a disabled observer pays
-    // neither the atomics nor the Instant reads.
-    profiler: Option<Box<Profiler>>,
-}
-
-/// What the coordinating thread decided about one batch item before
-/// dispatch. Only `Sim` items occupy a worker; everything else is
-/// settled without simulation.
-enum Prepared {
-    /// Answered from the trial cache.
-    Hit(Evaluation),
-    /// Duplicate of an earlier item in the same batch (an in-flight
-    /// dedup: it becomes a cache hit once that item merges).
-    Alias(usize),
-    /// Answered from the fingerprint-keyed shared cache (persistent
-    /// store or cross-trial memory): budget-free, like a cache hit, but
-    /// counted separately.
-    StoreHit { eval: Evaluation, key: Digest },
-    /// Rejected pre-simulation (bloat or static lint gate).
-    /// `costs_eval` preserves the budget accounting of the serial
-    /// engine: bloat rejections consume a fitness evaluation, lint
-    /// rejections are free.
-    Reject {
-        eval: Evaluation,
-        lint: Option<(String, cirfix_lint::Diagnostic)>,
-        costs_eval: bool,
-        key: Option<Digest>,
-    },
-    /// Needs a simulation: the applied variant and its growth factor.
-    Sim {
-        variant: cirfix_ast::SourceFile,
-        growth: f64,
-        key: Option<Digest>,
-    },
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -628,11 +305,6 @@ impl<'a> Repairer<'a> {
     /// Creates a repair engine for one trial.
     pub fn new(problem: &'a RepairProblem, config: RepairConfig) -> Repairer<'a> {
         let rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        let original_nodes = node_count(&problem.source);
-        let node_budget = ((original_nodes as f64) * config.max_growth.max(1.0)).ceil() as usize;
-        let filter = config
-            .static_filter
-            .then(|| StaticFilter::new(&problem.source, &problem.design_modules));
         let lint = if config.lint_prior {
             lint_prior(&problem.source, &problem.design_modules)
         } else {
@@ -651,38 +323,16 @@ impl<'a> Repairer<'a> {
             );
             compose_priors(&lint, &mined)
         };
-        let jobs = crate::engine::resolve_jobs(config.jobs);
-        let config_enabled = config.observer.enabled();
         Repairer {
             problem,
+            eval: Evaluator::new(problem, &config),
             config,
-            cache: HashMap::new(),
             rng,
-            evals: 0,
-            cache_hits: 0,
-            minimize_evals: 0,
-            rejected_static: 0,
-            timeouts: 0,
-            panics: 0,
-            exhausted: 0,
-            filter,
             prior,
             pattern_hits: 0,
-            started: Instant::now(),
-            node_budget,
-            original_nodes,
-            patch_applies: 0,
-            jobs,
-            busy: Duration::ZERO,
             mix: OperatorMix::default(),
-            shared: None,
-            scenario: None,
-            store_hits: 0,
-            store_writes: 0,
-            pending_delta: Vec::new(),
             session: None,
             resume: None,
-            profiler: config_enabled.then(|| Box::new(Profiler::new())),
         }
     }
 
@@ -691,8 +341,7 @@ impl<'a> Repairer<'a> {
     /// is the [`crate::persist::problem_digest`] mixed into every
     /// variant fingerprint.
     pub fn with_store(mut self, shared: SharedEvalCache, scenario: Digest) -> Repairer<'a> {
-        self.shared = Some(shared);
-        self.scenario = Some(scenario);
+        self.eval.attach_store(shared, scenario);
         self
     }
 
@@ -719,59 +368,55 @@ impl<'a> Repairer<'a> {
         self.session.take()
     }
 
-    /// Evaluations answered from the shared store so far.
-    pub fn store_hits(&self) -> u64 {
-        self.store_hits
-    }
-
-    /// Evaluations written through to the shared store so far.
-    pub fn store_writes(&self) -> u64 {
-        self.store_writes
-    }
-
-    /// Candidates whose per-candidate budget expired so far.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    /// Contained worker panics so far.
-    pub fn panics(&self) -> u64 {
-        self.panics
-    }
-
-    /// Candidates stopped by a hard resource cap so far.
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted
-    }
-
     /// Number of fitness probes so far (cache misses — each is one
     /// design simulation, the paper's dominant cost).
     pub fn fitness_evals(&self) -> u64 {
-        self.evals
+        self.eval.counts.evals
     }
 
     /// Evaluations answered from the trial cache so far.
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+        self.eval.counts.cache_hits
     }
 
     /// Patch applications performed so far — the AST work of the trial.
     /// A cache hit performs none (see the cache test suite).
     pub fn patch_applies(&self) -> u64 {
-        self.patch_applies
+        self.eval.counts.patch_applies
     }
 
     /// The resolved evaluation worker count for this trial.
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.eval.jobs()
     }
 
-    fn out_of_budget(&self) -> bool {
-        self.evals >= self.config.max_fitness_evals || self.started.elapsed() >= self.config.timeout
+    /// Evaluates one patch through the trial cache without consulting
+    /// the evaluation budget — how the original design is scored.
+    /// Panics are contained and classified, exactly as for search
+    /// candidates.
+    pub fn evaluate_patch(&mut self, patch: &Patch) -> Evaluation {
+        self.eval.evaluate_one(patch, "original")
     }
 
-    fn prof(&self) -> Option<&Profiler> {
-        self.profiler.as_deref()
+    /// The run totals of this trial so far.
+    fn totals(&self, generations: u32, wall_time: Duration) -> RunTotals {
+        let c = &self.eval.counts;
+        RunTotals {
+            trials: 1,
+            fitness_evals: c.evals,
+            wall_time,
+            generations,
+            mutants_rejected_static: c.rejected_static,
+            jobs: self.eval.jobs() as u32,
+            eval_busy: c.busy,
+            store_hits: c.store_hits,
+            store_writes: c.store_writes,
+            timeouts: c.timeouts,
+            panics: c.panics,
+            exhausted: c.exhausted,
+            pattern_hits: self.pattern_hits,
+            corpus_skipped: 0,
+        }
     }
 
     /// Emits one search-progress snapshot. Called at generation
@@ -779,20 +424,21 @@ impl<'a> Repairer<'a> {
     /// heartbeat stream is identical for every worker count.
     fn emit_heartbeat(&self, status: &str, generation: u64, best_fitness: f64) {
         self.config.observer.emit(|| {
-            let secs = self.started.elapsed().as_secs_f64();
+            let c = &self.eval.counts;
+            let secs = self.eval.started.elapsed().as_secs_f64();
             Event::Heartbeat(HeartbeatEvent {
                 status: status.to_string(),
                 generation,
                 best_fitness,
-                fitness_evals: self.evals,
-                cache_hits: self.cache_hits,
-                store_hits: self.store_hits,
-                rejected_static: self.rejected_static,
-                timeouts: self.timeouts,
-                panics: self.panics,
-                exhausted: self.exhausted,
+                fitness_evals: c.evals,
+                cache_hits: c.cache_hits,
+                store_hits: c.store_hits,
+                rejected_static: c.rejected_static,
+                timeouts: c.timeouts,
+                panics: c.panics,
+                exhausted: c.exhausted,
                 evals_per_s: if secs > 0.0 {
-                    self.evals as f64 / secs
+                    c.evals as f64 / secs
                 } else {
                     0.0
                 },
@@ -803,414 +449,15 @@ impl<'a> Repairer<'a> {
     /// Emits the profiler's per-phase busy totals and the eval-latency
     /// histogram (run end only: the totals are cumulative).
     fn emit_profile(&self) {
-        let Some(p) = self.prof() else { return };
+        let Some(p) = self.eval.profiler() else {
+            return;
+        };
         for phase in p.phase_events() {
             self.config.observer.record(&Event::Phase(phase));
         }
         if let Some(hist) = p.eval_histogram() {
             self.config.observer.record(&Event::Histogram(hist));
         }
-    }
-
-    /// A score-0 evaluation for a variant rejected before simulation.
-    fn rejection(&self, error: String, growth: f64) -> Evaluation {
-        Evaluation {
-            score: 0.0,
-            compiled: false,
-            mismatched: self
-                .problem
-                .oracle
-                .vars()
-                .iter()
-                .map(|v| strip_hierarchy(v))
-                .collect(),
-            report: None,
-            error: Some(error),
-            growth,
-            sim_metrics: None,
-            outcome: EvalOutcome::Rejected,
-        }
-    }
-
-    /// Classifies one patch before dispatch (coordinating thread only):
-    /// cache lookup, patch application, bloat check, and the static
-    /// lint gate. Cache hits do zero AST work. Only `Prepared::Sim`
-    /// items go on to occupy an evaluation worker.
-    fn prepare(&mut self, patch: &Patch) -> Prepared {
-        if let Some(e) = self.cache.get(patch) {
-            return Prepared::Hit(e.clone());
-        }
-        let _parse = self.prof().map(|p| p.span(Phase::Parse));
-        let (variant, _) = apply_patch(&self.problem.source, &self.problem.design_modules, patch);
-        drop(_parse);
-        self.patch_applies += 1;
-        // Content-addressed lookup in the shared cache: keyed by the
-        // canonical print of the patched design, so it survives node
-        // renumbering, process restarts, and different edit lists that
-        // produce the same variant. Fingerprinting only happens when a
-        // store is attached — the store-free engine is unchanged.
-        let key = self
-            .scenario
-            .map(|s| variant_fingerprint(s, &variant, &self.problem.design_modules));
-        if let (Some(shared), Some(key)) = (&self.shared, key) {
-            let _store = self.profiler.as_deref().map(|p| p.span(Phase::Store));
-            if let Some(eval) = shared.peek(key) {
-                return Prepared::StoreHit { eval, key };
-            }
-        }
-        let variant_nodes = node_count(&variant);
-        let growth = variant_nodes as f64 / self.original_nodes.max(1) as f64;
-        if variant_nodes > self.node_budget {
-            // Bloat rejection: treated like a compile failure, and (like
-            // the serial engine) charged against the evaluation budget.
-            return Prepared::Reject {
-                eval: self.rejection("variant exceeds the AST growth budget".to_string(), growth),
-                lint: None,
-                costs_eval: true,
-                key,
-            };
-        }
-        if let Some((module, diag)) = self.filter.as_ref().and_then(|f| f.check(&variant)) {
-            // Lint gate: the mutation introduced a new error-severity
-            // static finding; score 0 without occupying a worker. Free
-            // (no simulation ran), so no budget is consumed.
-            let error = format!("rejected by static filter: {}", diag.render(&module));
-            return Prepared::Reject {
-                eval: self.rejection(error, growth),
-                lint: Some((module, diag)),
-                costs_eval: false,
-                key,
-            };
-        }
-        Prepared::Sim {
-            variant,
-            growth,
-            key,
-        }
-    }
-
-    /// Inserts a settled evaluation into the trial cache and, when a
-    /// key is known, records the (patch, fingerprint) pair for the next
-    /// cache-delta log record and writes the evaluation through to the
-    /// shared cache. Returns without any store work when no store is
-    /// attached.
-    fn insert_evaluation(&mut self, patch: &Patch, eval: &Evaluation, key: Option<Digest>) {
-        self.cache.insert(patch.clone(), eval.clone());
-        let Some(key) = key else { return };
-        self.pending_delta.push((patch.clone(), key));
-        if let Some(shared) = &self.shared {
-            let _store = self.profiler.as_deref().map(|p| p.span(Phase::Store));
-            if shared.insert(key, eval) {
-                self.store_writes += 1;
-                self.config.observer.emit(|| {
-                    Event::Store(StoreEvent {
-                        op: "write".into(),
-                        key: key.to_hex(),
-                        records: 1,
-                    })
-                });
-            } else if shared.take_degraded_event() {
-                // The store just gave up after exhausting its write
-                // retries; record the degradation once.
-                self.config.observer.emit(|| {
-                    Event::Store(StoreEvent {
-                        op: "degraded".into(),
-                        key: String::new(),
-                        records: 1,
-                    })
-                });
-            }
-        }
-    }
-
-    /// Settles one prepared item (coordinating thread, submission
-    /// order): counts budgets, emits telemetry, and inserts into the
-    /// cache. `sim` carries the worker's result for `Prepared::Sim`
-    /// items; `None` there means the deadline cancelled the simulation.
-    /// `op` labels the candidate's originating operator in telemetry.
-    fn commit(
-        &mut self,
-        patch: &Patch,
-        prepared: Prepared,
-        sim: Option<Evaluation>,
-        op: &str,
-    ) -> Option<Evaluation> {
-        let (eval, key) = match prepared {
-            Prepared::Hit(eval) => {
-                self.cache_hits += 1;
-                self.config
-                    .observer
-                    .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
-                return Some(eval);
-            }
-            Prepared::StoreHit { eval, key } => {
-                // Answered from the shared cache: budget-free, no
-                // simulation, no Sim event — the warm-store tests count
-                // on exactly that.
-                self.store_hits += 1;
-                self.config.observer.emit(|| {
-                    Event::Store(StoreEvent {
-                        op: "hit".into(),
-                        key: key.to_hex(),
-                        records: 1,
-                    })
-                });
-                self.config
-                    .observer
-                    .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
-                self.insert_evaluation(patch, &eval, Some(key));
-                return Some(eval);
-            }
-            Prepared::Alias(_) => unreachable!("aliases are resolved by the batch merge"),
-            Prepared::Reject {
-                eval,
-                lint,
-                costs_eval,
-                key,
-            } => {
-                if costs_eval {
-                    self.evals += 1;
-                }
-                if let Some((module, diag)) = lint {
-                    self.rejected_static += 1;
-                    self.config
-                        .observer
-                        .emit(|| cirfix_lint::diagnostic_event(&module, &diag));
-                }
-                (eval, key)
-            }
-            Prepared::Sim { key, .. } => {
-                let eval = sim?;
-                self.evals += 1;
-                // Fault-containment accounting: only fresh simulations
-                // count, so cached answers never double-count and the
-                // totals are identical across resumes.
-                match eval.outcome {
-                    EvalOutcome::Timeout => self.timeouts += 1,
-                    EvalOutcome::Panicked => self.panics += 1,
-                    EvalOutcome::ResourceExhausted => self.exhausted += 1,
-                    _ => {}
-                }
-                (eval, key)
-            }
-        };
-        if self.config.observer.enabled() {
-            if let Some(m) = &eval.sim_metrics {
-                self.config.observer.record(&Event::Sim(sim_stats(m)));
-            }
-            self.config
-                .observer
-                .record(&Event::EvalOutcome(EvalOutcomeEvent {
-                    kind: eval.outcome.as_str().into(),
-                    error: eval.error.clone().unwrap_or_default(),
-                }));
-            self.config
-                .observer
-                .record(&Event::Candidate(eval.candidate_event(
-                    patch.len(),
-                    false,
-                    op,
-                )));
-        }
-        self.insert_evaluation(patch, &eval, key);
-        Some(eval)
-    }
-
-    /// Evaluates one patch synchronously through the trial cache — used
-    /// for the original design and for guaranteed-cached lookups inside
-    /// reproduction. Never consults the evaluation budget. Panics are
-    /// contained here too: a panicking candidate is classified and
-    /// scored, exactly as on the worker pool.
-    pub fn evaluate_patch(&mut self, patch: &Patch) -> Evaluation {
-        let prepared = self.prepare(patch);
-        let sim = match &prepared {
-            Prepared::Sim {
-                variant, growth, ..
-            } => {
-                let fault = self
-                    .config
-                    .faults
-                    .as_ref()
-                    .and_then(|f| f.next_eval_fault());
-                let budget = self.config.eval_timeout;
-                let growth = *growth;
-                let profiler = self.prof();
-                // Synchronous evaluations occupy the worker pool too:
-                // take a scheduling turn for the duration of the sim.
-                let _turn = self.config.control.turn();
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    evaluate_variant(
-                        self.problem,
-                        variant,
-                        growth,
-                        self.config.fitness,
-                        budget,
-                        fault,
-                        profiler,
-                    )
-                }));
-                Some(match r {
-                    Ok(eval) => eval,
-                    Err(payload) => {
-                        panicked_evaluation(self.problem, &panic_message(payload), growth)
-                    }
-                })
-            }
-            _ => None,
-        };
-        match self.commit(patch, prepared, sim, "original") {
-            Some(eval) => eval,
-            // Unreachable in practice — the synchronous path always
-            // supplies a simulation result, so the commit cannot report
-            // a cut batch. Degrade to a worst-fitness classification
-            // rather than aborting the trial.
-            None => self.rejection("synchronous evaluation yielded no result".to_string(), 1.0),
-        }
-    }
-
-    /// Evaluates a batch of patches across the worker pool and merges
-    /// the results back in submission order.
-    ///
-    /// The returned vector aligns with `patches`; `Some` entries form a
-    /// prefix. A `None` tail means the batch was cut short — either the
-    /// evaluation budget ran out at dispatch time (budget slots are
-    /// reserved in submission order on the coordinating thread, so
-    /// `max_fitness_evals` is never exceeded) or the wall-clock
-    /// deadline cancelled in-flight work. Everything order-sensitive
-    /// (cache inserts, counters, telemetry) happens here, identically
-    /// for every worker count.
-    #[cfg(test)]
-    fn evaluate_batch(&mut self, patches: &[Patch]) -> Vec<Option<Evaluation>> {
-        self.evaluate_batch_ops(patches, &[])
-    }
-
-    /// [`Repairer::evaluate_batch`] with per-patch operator labels for
-    /// telemetry (`ops[i]` labels `patches[i]`; missing entries label
-    /// as `""`). The labels do not influence evaluation.
-    fn evaluate_batch_ops(
-        &mut self,
-        patches: &[Patch],
-        ops: &[&'static str],
-    ) -> Vec<Option<Evaluation>> {
-        // Classify in submission order, deduplicating identical
-        // in-flight patches against the first occurrence.
-        let mut first_seen: HashMap<&Patch, usize> = HashMap::new();
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(patches.len());
-        for (i, patch) in patches.iter().enumerate() {
-            match first_seen.get(patch) {
-                Some(&j) => prepared.push(Prepared::Alias(j)),
-                None => {
-                    first_seen.insert(patch, i);
-                    let p = self.prepare(patch);
-                    prepared.push(p);
-                }
-            }
-        }
-        // Reserve budget slots in submission order; the first item that
-        // cannot reserve truncates the batch deterministically.
-        let mut budget = self.config.max_fitness_evals.saturating_sub(self.evals);
-        let mut admitted = patches.len();
-        for (i, p) in prepared.iter().enumerate() {
-            let costs = matches!(
-                p,
-                Prepared::Sim { .. }
-                    | Prepared::Reject {
-                        costs_eval: true,
-                        ..
-                    }
-            );
-            if costs {
-                if budget == 0 {
-                    admitted = i;
-                    break;
-                }
-                budget -= 1;
-            }
-        }
-        // Fan the simulations out; everything else never leaves the
-        // coordinating thread. Fault-injection ordinals are claimed
-        // here, serially, in submission order — so a chaos plan hits
-        // the same candidates for every worker count.
-        let deadline = self.started.checked_add(self.config.timeout);
-        let mut sims: Vec<(usize, &cirfix_ast::SourceFile, f64, Option<FaultKind>)> = Vec::new();
-        for (i, p) in prepared[..admitted].iter().enumerate() {
-            if let Prepared::Sim {
-                variant, growth, ..
-            } = p
-            {
-                let fault = self
-                    .config
-                    .faults
-                    .as_ref()
-                    .and_then(|f| f.next_eval_fault());
-                sims.push((i, variant, *growth, fault));
-            }
-        }
-        let problem = self.problem;
-        let params = self.config.fitness;
-        let budget = self.config.eval_timeout;
-        let profiler = self.profiler.as_deref();
-        // In service mode the worker pool is shared between sessions:
-        // hold a scheduling turn for exactly the span of the dispatch,
-        // so concurrent jobs interleave at batch granularity. The guard
-        // is inert (and free) for batch runs.
-        let turn = self.config.control.turn();
-        let (outcomes, busy, panicked) = crate::engine::run_batch(
-            self.jobs,
-            deadline,
-            &sims,
-            |&(_, variant, growth, fault)| {
-                evaluate_variant(problem, variant, growth, params, budget, fault, profiler)
-            },
-        );
-        drop(turn);
-        self.busy += busy;
-        let mut sim_results: HashMap<usize, Option<Evaluation>> = sims
-            .iter()
-            .zip(outcomes)
-            .map(|(&(i, _, _, _), r)| (i, r))
-            .collect();
-        // Panicked workers leave their slot empty and report the panic
-        // separately; classify those candidates worst-fitness instead
-        // of mistaking them for deadline cuts.
-        for (si, msg) in panicked {
-            let (i, _, growth, _) = sims[si];
-            sim_results.insert(i, Some(panicked_evaluation(problem, &msg, growth)));
-        }
-        // Merge in submission order. The first unresolved item (budget
-        // or deadline) ends the merge; later items are dropped rather
-        // than committed out of order.
-        let mut out: Vec<Option<Evaluation>> = Vec::with_capacity(patches.len());
-        let mut cut = false;
-        for (i, p) in prepared.into_iter().enumerate() {
-            if cut || i >= admitted {
-                out.push(None);
-                continue;
-            }
-            let op = ops.get(i).copied().unwrap_or("");
-            let merged = match p {
-                Prepared::Alias(j) => match &out[j] {
-                    Some(eval) => {
-                        let eval = eval.clone();
-                        self.cache_hits += 1;
-                        self.config.observer.emit(|| {
-                            Event::Candidate(eval.candidate_event(patches[i].len(), true, op))
-                        });
-                        Some(eval)
-                    }
-                    None => None,
-                },
-                p => {
-                    let sim = sim_results.remove(&i).flatten();
-                    self.commit(&patches[i], p, sim, op)
-                }
-            };
-            if merged.is_none() {
-                cut = true;
-            }
-            out.push(merged);
-        }
-        out
     }
 
     fn localize_variant(&self, variant: &cirfix_ast::SourceFile, eval: &Evaluation) -> FaultLoc {
@@ -1256,7 +503,7 @@ impl<'a> Repairer<'a> {
         }
         let (mut variant, _) =
             apply_patch(&self.problem.source, &self.problem.design_modules, &parent);
-        if node_count(&variant) > self.node_budget {
+        if self.eval.is_bloated(&variant) {
             parent = Patch::empty();
             parent_eval = self.evaluate_patch(&parent);
             variant = self.problem.source.clone();
@@ -1365,23 +612,25 @@ impl<'a> Repairer<'a> {
         if self.session.is_none() {
             return;
         }
-        let delta = std::mem::take(&mut self.pending_delta);
+        let delta = std::mem::take(&mut self.eval.pending_delta);
+        let c = self.eval.counts;
         let checkpoint = Checkpoint {
             generation,
             rng: self.rng.state(),
-            evals: self.evals,
-            cache_hits: self.cache_hits,
-            store_hits: self.store_hits,
-            store_writes: self.store_writes,
-            minimize_evals: self.minimize_evals,
-            rejected_static: self.rejected_static,
-            timeouts: self.timeouts,
-            panics: self.panics,
-            exhausted: self.exhausted,
+            evals: c.evals,
+            cache_hits: c.cache_hits,
+            store_hits: c.store_hits,
+            store_writes: c.store_writes,
+            // Minimization runs after the last checkpoint.
+            minimize_evals: 0,
+            rejected_static: c.rejected_static,
+            timeouts: c.timeouts,
+            panics: c.panics,
+            exhausted: c.exhausted,
             pattern_hits: self.pattern_hits,
-            patch_applies: self.patch_applies,
-            elapsed: self.started.elapsed(),
-            busy: self.busy,
+            patch_applies: c.patch_applies,
+            elapsed: self.eval.started.elapsed(),
+            busy: c.busy,
             best_patch: best.0.clone(),
             best_score: best.1,
             history: history.to_vec(),
@@ -1414,37 +663,22 @@ impl<'a> Repairer<'a> {
     ) -> RepairResult {
         self.emit_heartbeat("interrupted", u64::from(generations), best.1);
         self.emit_profile();
-        let wall_time = self.started.elapsed();
+        let wall_time = self.eval.started.elapsed();
         RepairResult {
             status: RepairStatus::Interrupted,
             best_fitness: best.1,
             patch: best.0.clone(),
             unminimized_len: best.0.len(),
             generations,
-            fitness_evals: self.evals,
+            fitness_evals: self.eval.counts.evals,
             wall_time,
             history: history.to_vec(),
             improvement_steps: improvement_steps.to_vec(),
             repaired_source: None,
-            cache_hits: self.cache_hits,
-            minimize_evals: self.minimize_evals,
-            rejected_static: self.rejected_static,
-            totals: RunTotals {
-                trials: 1,
-                fitness_evals: self.evals,
-                wall_time,
-                generations,
-                mutants_rejected_static: self.rejected_static,
-                jobs: self.jobs as u32,
-                eval_busy: self.busy,
-                store_hits: self.store_hits,
-                store_writes: self.store_writes,
-                timeouts: self.timeouts,
-                panics: self.panics,
-                exhausted: self.exhausted,
-                pattern_hits: self.pattern_hits,
-                corpus_skipped: 0,
-            },
+            cache_hits: self.eval.counts.cache_hits,
+            minimize_evals: 0,
+            rejected_static: self.eval.counts.rejected_static,
+            totals: self.totals(generations, wall_time),
         }
     }
 
@@ -1470,23 +704,24 @@ impl<'a> Repairer<'a> {
             // already in the session log, so they are *not* pushed to
             // `pending_delta` again.
             self.rng = rand::rngs::StdRng::from_state(state.rng);
-            self.evals = state.evals;
-            self.cache_hits = state.cache_hits;
-            self.store_hits = state.store_hits;
-            self.store_writes = state.store_writes;
-            self.minimize_evals = state.minimize_evals;
-            self.rejected_static = state.rejected_static;
-            self.timeouts = state.timeouts;
-            self.panics = state.panics;
-            self.exhausted = state.exhausted;
+            self.eval.counts = EvalCounts {
+                evals: state.evals,
+                cache_hits: state.cache_hits,
+                store_hits: state.store_hits,
+                store_writes: state.store_writes,
+                rejected_static: state.rejected_static,
+                timeouts: state.timeouts,
+                panics: state.panics,
+                exhausted: state.exhausted,
+                patch_applies: state.patch_applies,
+                busy: state.busy,
+            };
             self.pattern_hits = state.pattern_hits;
-            self.patch_applies = state.patch_applies;
-            self.busy = state.busy;
-            self.started = Instant::now()
+            self.eval.started = Instant::now()
                 .checked_sub(state.elapsed)
                 .unwrap_or_else(Instant::now);
-            for (patch, eval, _) in &state.l1 {
-                self.cache.insert(patch.clone(), eval.clone());
+            for (patch, eval, _) in state.l1 {
+                self.eval.restore(patch, eval);
             }
             best = state.best;
             improvement_steps = state.improvement_steps;
@@ -1498,8 +733,8 @@ impl<'a> Repairer<'a> {
             // recompute it silently (the FaultLoc event is already in
             // the pre-interruption trace).
             let original_eval = self
-                .cache
-                .get(&original)
+                .eval
+                .cached(&original)
                 .expect("checkpointed cache always holds the original")
                 .clone();
             original_fl = self.localize_variant(&self.problem.source, &original_eval);
@@ -1532,7 +767,7 @@ impl<'a> Repairer<'a> {
             // anything beyond its own batch.
             popn = vec![(original.clone(), original_eval)];
             'seed: while popn.len() < self.config.popn_size
-                && !self.out_of_budget()
+                && !self.eval.out_of_budget()
                 && found.is_none()
             {
                 // External cancellation lands at batch boundaries. No
@@ -1552,7 +787,7 @@ impl<'a> Repairer<'a> {
                     pending.extend(self.reproduce(&popn[..1], &original_fl));
                 }
                 let (batch, ops): (Vec<Patch>, Vec<&'static str>) = pending.into_iter().unzip();
-                let evals = self.evaluate_batch_ops(&batch, &ops);
+                let evals = self.eval.evaluate(&batch, &ops, true);
                 for (child, eval) in batch.into_iter().zip(evals) {
                     // A missing evaluation means the batch was cut
                     // short by the budget or the deadline.
@@ -1581,11 +816,11 @@ impl<'a> Repairer<'a> {
 
         'outer: while found.is_none()
             && generations < self.config.max_generations
-            && !self.out_of_budget()
+            && !self.eval.out_of_budget()
         {
             let mut children: Vec<(Patch, Evaluation)> = Vec::new();
             while children.len() < self.config.popn_size && found.is_none() {
-                if self.out_of_budget() {
+                if self.eval.out_of_budget() {
                     break 'outer;
                 }
                 // Cancellation takes effect within one batch boundary,
@@ -1606,7 +841,7 @@ impl<'a> Repairer<'a> {
                     pending.extend(self.reproduce(&popn, &original_fl));
                 }
                 let (batch, ops): (Vec<Patch>, Vec<&'static str>) = pending.into_iter().unzip();
-                let evals = self.evaluate_batch_ops(&batch, &ops);
+                let evals = self.eval.evaluate(&batch, &ops, true);
                 for (child, eval) in batch.into_iter().zip(evals) {
                     let Some(eval) = eval else { break 'outer };
                     if eval.score > best.1 {
@@ -1645,10 +880,19 @@ impl<'a> Repairer<'a> {
             }
         }
 
+        let evals_before_minimize = self.eval.counts.evals;
         let (status, patch, unminimized_len, repaired_source) = match found {
             Some(winning) => {
                 let unmin = winning.len();
-                let minimized = self.minimize_patch(&winning);
+                // Minimization probes go through the same evaluator as
+                // the search (cache, store, gates, containment,
+                // telemetry), outside the budget.
+                let minimized = {
+                    let _span = Span::enter("minimize", obs.sink());
+                    minimize(&winning, |p| {
+                        self.eval.evaluate_one(p, "minimize").score >= 1.0
+                    })
+                };
                 let (repaired, _) = apply_patch(
                     &self.problem.source,
                     &self.problem.design_modules,
@@ -1678,170 +922,23 @@ impl<'a> Repairer<'a> {
         self.emit_heartbeat("done", u64::from(generations), final_best);
         self.emit_profile();
 
-        let wall_time = self.started.elapsed();
+        let wall_time = self.eval.started.elapsed();
         RepairResult {
             status,
             best_fitness: final_best,
             patch,
             unminimized_len,
             generations,
-            fitness_evals: self.evals,
+            fitness_evals: self.eval.counts.evals,
             wall_time,
             history,
             improvement_steps,
             repaired_source,
-            cache_hits: self.cache_hits,
-            minimize_evals: self.minimize_evals,
-            rejected_static: self.rejected_static,
-            totals: RunTotals {
-                trials: 1,
-                fitness_evals: self.evals,
-                wall_time,
-                generations,
-                mutants_rejected_static: self.rejected_static,
-                jobs: self.jobs as u32,
-                eval_busy: self.busy,
-                store_hits: self.store_hits,
-                store_writes: self.store_writes,
-                timeouts: self.timeouts,
-                panics: self.panics,
-                exhausted: self.exhausted,
-                pattern_hits: self.pattern_hits,
-                corpus_skipped: 0,
-            },
+            cache_hits: self.eval.counts.cache_hits,
+            minimize_evals: self.eval.counts.evals - evals_before_minimize,
+            rejected_static: self.eval.counts.rejected_static,
+            totals: self.totals(generations, wall_time),
         }
-    }
-
-    /// Minimizes a winning patch, answering plausibility probes from
-    /// the trial-level evaluation cache first: patches already scored
-    /// during the search are never re-simulated, and every probe — hit
-    /// or miss — lands in the same cache and the same counters as the
-    /// search's own evaluations.
-    fn minimize_patch(&mut self, patch: &Patch) -> Patch {
-        let observer = self.config.observer.clone();
-        let _span = Span::enter("minimize", observer.sink());
-        let problem = self.problem;
-        let params = self.config.fitness;
-        let scenario = self.scenario;
-        let shared = self.shared.clone();
-        let eval_timeout = self.config.eval_timeout;
-        let faults = self.config.faults.clone();
-        let control = self.config.control.clone();
-        let cache = &mut self.cache;
-        let cache_hits = &mut self.cache_hits;
-        let store_hits = &mut self.store_hits;
-        let store_writes = &mut self.store_writes;
-        let evals = &mut self.evals;
-        let minimize_evals = &mut self.minimize_evals;
-        let timeouts = &mut self.timeouts;
-        let panics = &mut self.panics;
-        let exhausted = &mut self.exhausted;
-        let pending_delta = &mut self.pending_delta;
-        let profiler = self.profiler.as_deref();
-        minimize(patch, |p| {
-            let (eval, cached) = match cache.get(p) {
-                Some(e) => {
-                    *cache_hits += 1;
-                    (e.clone(), true)
-                }
-                None => {
-                    // Minimization probes go through the same two-level
-                    // cache as the search: shared-cache hits are not
-                    // re-simulated, misses are written through.
-                    let parse_span = profiler.map(|pr| pr.span(Phase::Parse));
-                    let (variant, _) = apply_patch(&problem.source, &problem.design_modules, p);
-                    drop(parse_span);
-                    let key =
-                        scenario.map(|s| variant_fingerprint(s, &variant, &problem.design_modules));
-                    let hit = match (key, &shared) {
-                        (Some(k), Some(sh)) => sh.peek(k).map(|e| (k, e)),
-                        _ => None,
-                    };
-                    match hit {
-                        Some((k, e)) => {
-                            *store_hits += 1;
-                            observer.emit(|| {
-                                Event::Store(StoreEvent {
-                                    op: "hit".into(),
-                                    key: k.to_hex(),
-                                    records: 1,
-                                })
-                            });
-                            cache.insert(p.clone(), e.clone());
-                            pending_delta.push((p.clone(), k));
-                            (e, true)
-                        }
-                        None => {
-                            let growth = node_count(&variant) as f64
-                                / node_count(&problem.source).max(1) as f64;
-                            // Minimization probes run under the same
-                            // containment as the search: a hanging or
-                            // panicking candidate is classified and the
-                            // ddmin loop keeps going.
-                            let fault = faults.as_ref().and_then(|f| f.next_eval_fault());
-                            let turn = control.turn();
-                            let e = match catch_unwind(AssertUnwindSafe(|| {
-                                evaluate_variant(
-                                    problem,
-                                    &variant,
-                                    growth,
-                                    params,
-                                    eval_timeout,
-                                    fault,
-                                    profiler,
-                                )
-                            })) {
-                                Ok(e) => e,
-                                Err(payload) => {
-                                    panicked_evaluation(problem, &panic_message(payload), growth)
-                                }
-                            };
-                            drop(turn);
-                            *evals += 1;
-                            *minimize_evals += 1;
-                            match e.outcome {
-                                EvalOutcome::Timeout => *timeouts += 1,
-                                EvalOutcome::Panicked => *panics += 1,
-                                EvalOutcome::ResourceExhausted => *exhausted += 1,
-                                _ => {}
-                            }
-                            observer.emit(|| {
-                                Event::EvalOutcome(EvalOutcomeEvent {
-                                    kind: e.outcome.as_str().into(),
-                                    error: e.error.clone().unwrap_or_default(),
-                                })
-                            });
-                            cache.insert(p.clone(), e.clone());
-                            if let Some(k) = key {
-                                pending_delta.push((p.clone(), k));
-                                if shared.as_ref().is_some_and(|sh| sh.insert(k, &e)) {
-                                    *store_writes += 1;
-                                    observer.emit(|| {
-                                        Event::Store(StoreEvent {
-                                            op: "write".into(),
-                                            key: k.to_hex(),
-                                            records: 1,
-                                        })
-                                    });
-                                } else if shared.as_ref().is_some_and(|sh| sh.take_degraded_event())
-                                {
-                                    observer.emit(|| {
-                                        Event::Store(StoreEvent {
-                                            op: "degraded".into(),
-                                            key: String::new(),
-                                            records: 1,
-                                        })
-                                    });
-                                }
-                            }
-                            (e, false)
-                        }
-                    }
-                }
-            };
-            observer.emit(|| Event::Candidate(eval.candidate_event(p.len(), cached, "minimize")));
-            eval.score >= 1.0
-        })
     }
 }
 
@@ -1898,113 +995,4 @@ pub fn repair_with_trials(
         last = Some(result);
     }
     last.expect("at least one trial ran")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::mutation::all_stmt_ids;
-    use crate::oracle::oracle_from_golden;
-    use crate::patch::Edit;
-    use cirfix_parser::parse;
-    use cirfix_sim::{ProbeSpec, SimConfig};
-
-    const GOLDEN: &str = "
-module cnt (c, r, q); input c, r; output reg [1:0] q;
-  always @(posedge c) if (r) q <= 0; else q <= q + 1;
-endmodule";
-
-    const FAULTY: &str = "
-module cnt (c, r, q); input c, r; output reg [1:0] q;
-  always @(posedge c) if (!r) q <= 0; else q <= q + 1;
-endmodule";
-
-    const TB: &str = "
-module tb; reg c, r; wire [1:0] q; cnt dut (c, r, q);
-  initial begin c = 0; r = 1; #12 r = 0; end
-  always #5 c = !c;
-  initial #120 $finish;
-endmodule";
-
-    fn problem() -> RepairProblem {
-        let probe = ProbeSpec::periodic(vec!["q".into()], 5, 10);
-        let sim = SimConfig {
-            max_time: 200,
-            max_total_ops: 100_000,
-            max_deltas: 1000,
-            ..SimConfig::default()
-        };
-        let mut golden = parse(GOLDEN).unwrap();
-        golden.extend_from(parse(TB).unwrap());
-        let oracle = oracle_from_golden(&golden, "tb", &probe, &sim).unwrap();
-        let mut source = parse(FAULTY).unwrap();
-        source.extend_from(parse(TB).unwrap());
-        RepairProblem {
-            source,
-            top: "tb".into(),
-            design_modules: vec!["cnt".into()],
-            probe,
-            oracle,
-            sim,
-        }
-    }
-
-    fn delete_patches(problem: &RepairProblem, n: usize) -> Vec<Patch> {
-        all_stmt_ids(&problem.source, &problem.design_modules)
-            .into_iter()
-            .take(n)
-            .map(|target| Patch::single(Edit::DeleteStmt { target }))
-            .collect()
-    }
-
-    #[test]
-    fn batch_dedups_in_flight_duplicate_patches() {
-        let problem = problem();
-        let mut r = Repairer::new(&problem, RepairConfig::fast(1));
-        let patch = delete_patches(&problem, 1).pop().unwrap();
-        let batch = vec![patch.clone(), patch.clone(), patch];
-        let out = r.evaluate_batch(&batch);
-        assert!(out.iter().all(Option::is_some));
-        let bits: Vec<u64> = out
-            .iter()
-            .map(|e| e.as_ref().unwrap().score.to_bits())
-            .collect();
-        assert_eq!(bits[0], bits[1]);
-        assert_eq!(bits[0], bits[2]);
-        assert_eq!(r.fitness_evals(), 1, "duplicates simulate once");
-        assert_eq!(r.cache_hits(), 2, "aliases count as cache hits");
-        assert_eq!(r.patch_applies(), 1, "aliases do zero AST work");
-    }
-
-    #[test]
-    fn batch_truncates_at_budget_exhaustion() {
-        let problem = problem();
-        let mut config = RepairConfig::fast(1);
-        config.max_fitness_evals = 2;
-        let mut r = Repairer::new(&problem, config);
-        let batch = delete_patches(&problem, 4);
-        assert_eq!(batch.len(), 4);
-        let out = r.evaluate_batch(&batch);
-        assert!(out[0].is_some());
-        assert!(out[1].is_some());
-        assert!(out[2].is_none(), "third item exceeds the budget");
-        assert!(out[3].is_none());
-        assert_eq!(r.fitness_evals(), 2);
-    }
-
-    #[test]
-    fn batch_cache_hits_are_free_of_budget() {
-        let problem = problem();
-        let mut config = RepairConfig::fast(1);
-        config.max_fitness_evals = 1;
-        let mut r = Repairer::new(&problem, config);
-        let patch = delete_patches(&problem, 1).pop().unwrap();
-        assert!(r.evaluate_batch(std::slice::from_ref(&patch))[0].is_some());
-        assert_eq!(r.fitness_evals(), 1);
-        // Budget is spent, but a cached patch still resolves.
-        let out = r.evaluate_batch(std::slice::from_ref(&patch));
-        assert!(out[0].is_some(), "cache hits bypass the exhausted budget");
-        assert_eq!(r.fitness_evals(), 1);
-        assert_eq!(r.cache_hits(), 1);
-    }
 }

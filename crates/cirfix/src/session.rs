@@ -30,6 +30,7 @@ use std::time::Duration;
 use cirfix_store::{field, field_str, field_u64, Digest, EvalWriter, SegmentWriter, Store};
 use cirfix_telemetry::{Event, JsonValue, StoreEvent};
 
+use crate::evaluator::{resolve_logged, Evaluation};
 use crate::faults::FaultInjector;
 use crate::oracle::RepairProblem;
 use crate::patch::Patch;
@@ -37,7 +38,7 @@ use crate::persist::{
     evaluation_from_json, evaluation_to_json, patch_from_json, patch_to_json, problem_digest,
     session_digest, totals_from_json, totals_to_json,
 };
-use crate::repair::{Evaluation, RepairConfig, RepairResult, RepairStatus, Repairer, RunTotals};
+use crate::repair::{RepairConfig, RepairResult, RepairStatus, Repairer, RunTotals};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -524,8 +525,6 @@ pub struct ResumeState {
     pub store_hits: u64,
     /// Shared-cache write-throughs at the boundary.
     pub store_writes: u64,
-    /// Minimization probes at the boundary.
-    pub minimize_evals: u64,
     /// Static-filter rejections at the boundary.
     pub rejected_static: u64,
     /// Per-candidate budget expiries at the boundary.
@@ -644,18 +643,17 @@ fn fold_session(
     // Materialize the trial cache: resolve each logged fingerprint
     // against the evaluation store. A missing evaluation is an honest
     // failure — resuming with a guessed fitness would poison the run.
-    let mut l1 = Vec::with_capacity(prefix);
-    let mut by_patch: HashMap<Patch, Evaluation> = HashMap::new();
-    for (patch, key) in deltas.remove(&trial).unwrap_or_default().drain(..prefix) {
-        let eval = shared.peek(key).ok_or_else(|| {
-            SessionError::Corrupt(format!(
-                "evaluation {} referenced by the session log is missing from the store",
-                key.to_hex()
-            ))
-        })?;
-        by_patch.insert(patch.clone(), eval.clone());
-        l1.push((patch, eval, key));
-    }
+    let l1 = resolve_logged(
+        shared,
+        deltas.remove(&trial).unwrap_or_default().drain(..prefix),
+    )
+    .map_err(|key| {
+        SessionError::Corrupt(format!(
+            "evaluation {} referenced by the session log is missing from the store",
+            key.to_hex()
+        ))
+    })?;
+    let by_patch: HashMap<&Patch, &Evaluation> = l1.iter().map(|(p, e, _)| (p, e)).collect();
 
     let rng: [u64; 4] = match field(&cp, "rng") {
         Some(JsonValue::Array(words)) if words.len() == 4 => {
@@ -676,7 +674,7 @@ fn fold_session(
             let mut popn = Vec::with_capacity(items.len());
             for item in items {
                 let patch = patch_from_json(item).map_err(SessionError::Corrupt)?;
-                let eval = by_patch.get(&patch).cloned().ok_or_else(|| {
+                let eval = by_patch.get(&patch).map(|&e| e.clone()).ok_or_else(|| {
                     SessionError::Corrupt(
                         "population member missing from the checkpointed cache".into(),
                     )
@@ -698,7 +696,6 @@ fn fold_session(
         cache_hits: need_u64(&cp, "cache_hits")?,
         store_hits: need_u64(&cp, "store_hits")?,
         store_writes: need_u64(&cp, "store_writes")?,
-        minimize_evals: need_u64(&cp, "minimize_evals")?,
         rejected_static: need_u64(&cp, "rejected_static")?,
         // Absent in logs written before the fault-containment
         // counters existed; zero is the correct restoration there.

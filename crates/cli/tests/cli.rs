@@ -152,6 +152,20 @@ fn bad_usage_fails_cleanly() {
 }
 
 #[test]
+fn misspelled_conf_key_fails_with_a_suggestion() {
+    let dir = setup("badkey");
+    let conf = dir.join("repair.conf");
+    let out = cirfix(&["repair", conf.to_str().unwrap(), "--popn_sise", "4"]);
+    assert!(!out.status.success(), "an unknown key must not run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown key `popn_sise` (did you mean `popn_size`?)"),
+        "{stderr}"
+    );
+    assert!(!dir.join("repaired.v").exists(), "no repair ran");
+}
+
+#[test]
 fn overrides_change_behaviour() {
     let dir = setup("override");
     let conf = dir.join("repair.conf");

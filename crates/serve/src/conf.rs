@@ -57,6 +57,12 @@ use cirfix_sim::{ProbeSpec, SimConfig};
 /// | `resume` | continue an interrupted session from its last checkpoint | `false` |
 /// | `halt_after` | stop right after checkpointing generation N (deterministic kill stand-in) | off |
 /// | `result_out` | where to write the canonical, timing-free result JSON | off |
+/// | `static_filter` | lint-gate candidates before simulation | `false` |
+/// | `lint_prior` | weight mutation targets by lint findings | `false` |
+/// | `vcd` | waveform output of `cirfix simulate` | off |
+/// | `verify_design`, `verify_testbench`, `verify_top` | held-out check of `cirfix verify` | — |
+///
+/// Any other key is an error ([`KNOWN_KEYS`]).
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     values: HashMap<String, String>,
@@ -75,13 +81,90 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Every key the CLI, the daemon and the builders in this module read.
+/// [`Config`] rejects any other key, so a misspelled key fails loudly
+/// instead of silently running with the default.
+pub const KNOWN_KEYS: &[&str] = &[
+    "batch_size",
+    "chaos",
+    "design",
+    "design_modules",
+    "eval_timeout",
+    "golden",
+    "halt_after",
+    "jobs",
+    "lint_prior",
+    "max_evals",
+    "max_generations",
+    "max_time",
+    "metrics",
+    "mined_patterns",
+    "output",
+    "phi",
+    "popn_size",
+    "probe_period",
+    "probe_signals",
+    "probe_start",
+    "result_out",
+    "resume",
+    "seed",
+    "sim_step_limit",
+    "static_filter",
+    "store",
+    "testbench",
+    "timeout_s",
+    "top",
+    "trace_out",
+    "trace_timing",
+    "trials",
+    "vcd",
+    "verify_design",
+    "verify_testbench",
+    "verify_top",
+];
+
+/// Checks `key` against [`KNOWN_KEYS`], suggesting the nearest known
+/// key for a likely misspelling.
+fn check_key(key: &str) -> Result<(), ConfigError> {
+    if KNOWN_KEYS.contains(&key) {
+        return Ok(());
+    }
+    let nearest = KNOWN_KEYS
+        .iter()
+        .map(|k| (edit_distance(key, k), *k))
+        .min()
+        .filter(|&(d, _)| d <= 3);
+    Err(ConfigError(match nearest {
+        Some((_, k)) => format!("unknown key `{key}` (did you mean `{k}`?)"),
+        None => format!("unknown key `{key}`"),
+    }))
+}
+
+/// Levenshtein distance between two strings, by characters.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let next = (diag + usize::from(ca != cb))
+                .min(row[j] + 1)
+                .min(row[j + 1] + 1);
+            diag = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
+}
+
 impl Config {
     /// Parses `text`, resolving relative paths against `base_dir`.
     ///
     /// # Errors
     ///
     /// Returns an error for lines that are not comments, blanks, or
-    /// `key = value` pairs.
+    /// `key = value` pairs, and for keys not in [`KNOWN_KEYS`].
     pub fn parse(text: &str, base_dir: &Path) -> Result<Config, ConfigError> {
         let mut values = HashMap::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -95,7 +178,9 @@ impl Config {
                     lineno + 1
                 )));
             };
-            values.insert(key.trim().to_string(), value.trim().to_string());
+            let key = key.trim();
+            check_key(key).map_err(|e| ConfigError(format!("line {}: {}", lineno + 1, e.0)))?;
+            values.insert(key.to_string(), value.trim().to_string());
         }
         Ok(Config {
             values,
@@ -116,8 +201,14 @@ impl Config {
     }
 
     /// Overrides a key (used for `--key value` command-line overrides).
-    pub fn set(&mut self, key: &str, value: &str) {
+    ///
+    /// # Errors
+    ///
+    /// Keys not in [`KNOWN_KEYS`].
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ConfigError> {
+        check_key(key)?;
         self.values.insert(key.to_string(), value.to_string());
+        Ok(())
     }
 
     /// Removes a key, exposing the default again.
@@ -204,7 +295,7 @@ pub const BOOL_FLAGS: &[&str] = &["metrics", "static_filter", "lint_prior", "res
 ///
 /// # Errors
 ///
-/// Malformed switches and missing values.
+/// Malformed switches, missing values, and unknown keys.
 pub fn apply_overrides(config: &mut Config, overrides: &[String]) -> Result<(), ConfigError> {
     let mut i = 0;
     while i < overrides.len() {
@@ -214,14 +305,14 @@ pub fn apply_overrides(config: &mut Config, overrides: &[String]) -> Result<(), 
         // `--trace-out` and `trace_out` name the same config key.
         let key = key.replace('-', "_");
         if BOOL_FLAGS.contains(&key.as_str()) {
-            config.set(&key, "true");
+            config.set(&key, "true")?;
             i += 1;
             continue;
         }
         let value = overrides
             .get(i + 1)
             .ok_or_else(|| ConfigError(format!("--{key} needs a value")))?;
-        config.set(&key, value);
+        config.set(&key, value)?;
         i += 2;
     }
     Ok(())
@@ -370,7 +461,7 @@ mod tests {
     #[test]
     fn overrides_apply() {
         let mut c = Config::parse("top = a\n", Path::new(".")).unwrap();
-        c.set("top", "b");
+        c.set("top", "b").unwrap();
         assert_eq!(c.required("top").unwrap(), "b");
         c.unset("top");
         assert!(c.required("top").is_err());
@@ -391,5 +482,50 @@ mod tests {
         assert!(apply_overrides(&mut c, &bad).is_err());
         let dangling: Vec<String> = vec!["--seed".into()];
         assert!(apply_overrides(&mut c, &dangling).is_err());
+    }
+
+    #[test]
+    fn unknown_keys_fail_with_a_suggestion() {
+        let e = Config::parse("top = tb\npopn_sise = 4\n", Path::new(".")).unwrap_err();
+        assert_eq!(
+            e.0,
+            "line 2: unknown key `popn_sise` (did you mean `popn_size`?)"
+        );
+        let mut c = Config::default();
+        let e = c.set("max_eval", "10").unwrap_err();
+        assert!(e.0.contains("did you mean `max_evals`?"), "{e}");
+        let e = c.set("frobnicate_everything", "1").unwrap_err();
+        assert_eq!(e.0, "unknown key `frobnicate_everything`");
+        let args: Vec<String> = vec!["--popn-sise".into(), "4".into()];
+        assert!(apply_overrides(&mut c, &args).is_err());
+        assert!(
+            c.required("popn_sise").is_err(),
+            "a rejected key is not stored"
+        );
+    }
+
+    #[test]
+    fn every_key_the_benchmark_writes_is_known() {
+        for key in [
+            "design",
+            "golden",
+            "testbench",
+            "top",
+            "design_modules",
+            "probe_signals",
+            "probe_start",
+            "probe_period",
+            "max_time",
+            "sim_step_limit",
+            "popn_size",
+            "max_generations",
+            "max_evals",
+            "timeout_s",
+            "trials",
+            "jobs",
+            "seed",
+        ] {
+            assert!(check_key(key).is_ok(), "{key}");
+        }
     }
 }

@@ -87,7 +87,7 @@ fn batch_reference(
 ) -> String {
     let mut config = Config::load(conf_path).expect("conf loads");
     for (key, value) in overrides {
-        config.set(key, value);
+        config.set(key, value).expect("known key");
     }
     let problem = conf::build_problem(&config).expect("problem builds");
     let mut rc = conf::repair_config(&config).expect("repair config builds");
@@ -108,6 +108,23 @@ fn batch_reference(
 
 fn only_state(scheduler: &Scheduler, id: &str) -> JobState {
     scheduler.status(Some(id)).first().expect("job known").state
+}
+
+#[test]
+fn misspelled_override_is_a_bad_request() {
+    let dir = fresh_dir("badkey");
+    let conf = write_fixture(&dir.join("fx"), "counter_reset");
+    let scheduler = Scheduler::new(ServeOpts::new(dir.join("store"))).expect("scheduler starts");
+    let err = scheduler
+        .submit(&spec(&conf, base_overrides(1), &[("popn_sise", "4")]))
+        .expect_err("an unknown key must not be admitted");
+    assert_eq!(err.code, "bad_request");
+    assert!(
+        err.message.contains("did you mean `popn_size`?"),
+        "{}",
+        err.message
+    );
+    assert!(scheduler.status(None).is_empty(), "nothing was queued");
 }
 
 #[test]

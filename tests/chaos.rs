@@ -137,6 +137,84 @@ fn each_fault_kind_is_classified_and_counted() {
     }
 }
 
+/// Collects every `eval_outcome` kind and minimization candidate in
+/// emission order.
+#[derive(Default)]
+struct ProbeLog(Mutex<Vec<String>>);
+
+impl TelemetrySink for ProbeLog {
+    fn record(&self, event: &Event) {
+        let entry = match event {
+            Event::EvalOutcome(o) => o.kind.clone(),
+            Event::Candidate(c) if c.op == "minimize" && !c.cached => "minimize".to_string(),
+            _ => return,
+        };
+        self.0.lock().expect("sink poisoned").push(entry);
+    }
+}
+
+/// Fault ordinals are claimed by minimization probes too: a panic
+/// scheduled for the first simulated probe of the minimizer is
+/// contained, counted, and leaves the run byte-identical across worker
+/// counts.
+#[test]
+fn panic_inside_minimization_is_contained_and_counted() {
+    let problem = cirfix_benchmarks::scenario("counter_reset")
+        .expect("known scenario")
+        .problem()
+        .expect("scenario builds");
+    let rc = |jobs: usize, plan: &str| {
+        let plan = FaultPlan::parse(plan).expect("valid fault plan");
+        RepairConfig {
+            jobs,
+            faults: (!plan.is_empty()).then(|| FaultInjector::new(plan)),
+            ..RepairConfig::fast(2)
+        }
+    };
+
+    // A clean run locates the first simulated minimization probe: its
+    // ordinal is the number of simulations claimed before it (rejected
+    // candidates claim none).
+    let log = Arc::new(ProbeLog::default());
+    let mut clean = rc(1, "");
+    clean.observer = Observer::new(log.clone());
+    let clean = cirfix::repair(&problem, clean);
+    assert!(clean.is_plausible() && clean.minimize_evals >= 1);
+    let entries = log.0.lock().expect("sink poisoned").clone();
+    let first_probe = entries
+        .iter()
+        .position(|e| e == "minimize")
+        .expect("minimization simulated a probe");
+    let ordinal = entries[..first_probe]
+        .iter()
+        .filter(|e| *e != "minimize" && *e != "rejected")
+        .count()
+        - 1;
+
+    let plan = format!("panic@{ordinal}");
+    let mut canonical = Vec::new();
+    for jobs in [1usize, 4] {
+        let log = Arc::new(ProbeLog::default());
+        let mut injected = rc(jobs, &plan);
+        injected.observer = Observer::new(log.clone());
+        let result = cirfix::repair(&problem, injected);
+        assert!(
+            result.is_plausible(),
+            "jobs={jobs}: the search result stands"
+        );
+        assert_eq!(result.totals.panics, 1, "jobs={jobs}: the panic is counted");
+        let entries = log.0.lock().expect("sink poisoned").clone();
+        let first_probe = entries.iter().position(|e| e == "minimize");
+        assert_eq!(
+            first_probe.map(|i| entries[i - 1].as_str()),
+            Some("panicked"),
+            "jobs={jobs}: the panic lands on the first minimization probe"
+        );
+        canonical.push(result_to_canonical_json(&result).to_json());
+    }
+    assert_eq!(canonical[0], canonical[1]);
+}
+
 /// A hanging candidate is cancelled cooperatively: the synchronous
 /// evaluation path returns a worst-fitness `timeout` classification
 /// within twice the per-candidate budget.

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use cirfix::{repair, Observer, RepairConfig};
 use cirfix_benchmarks::scenario;
-use cirfix_telemetry::{validate_json_line, JsonLinesSink};
+use cirfix_telemetry::{validate_json_line, JsonLinesSink, TimingFreeSink};
 
 /// A `Write` target that can be read back after the sink takes
 /// ownership of it.
@@ -29,6 +29,42 @@ impl Write for SharedBuf {
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
+}
+
+/// Every simulation that runs to completion is reported twice: once as
+/// a `sim` event with the simulator's effort counters and once as an
+/// `ok` evaluation outcome — minimization probes included, since they
+/// go through the same evaluator as search candidates.
+#[test]
+fn every_ok_outcome_has_a_sim_event_including_minimization_probes() {
+    let problem = scenario("counter_reset")
+        .expect("benchmark exists")
+        .problem()
+        .expect("sources parse");
+    let buf = SharedBuf::default();
+    let mut config = RepairConfig::fast(2);
+    config.observer = Observer::new(Arc::new(TimingFreeSink::new(JsonLinesSink::new(
+        buf.clone(),
+    ))));
+    let result = repair(&problem, config);
+    assert!(result.is_plausible(), "the seeded run repairs the defect");
+    assert!(
+        result.minimize_evals >= 1,
+        "minimization must simulate at least one probe for this check to bite"
+    );
+
+    let bytes = buf.0.lock().expect("buffer poisoned").clone();
+    let text = String::from_utf8(bytes).expect("trace is UTF-8");
+    let sims = text
+        .lines()
+        .filter(|l| l.contains("\"type\":\"sim\""))
+        .count();
+    let ok = text
+        .lines()
+        .filter(|l| l.contains("\"type\":\"eval_outcome\"") && l.contains("\"kind\":\"ok\""))
+        .count();
+    assert!(ok > 0);
+    assert_eq!(sims, ok, "one `sim` event per `ok` outcome");
 }
 
 #[test]
