@@ -84,7 +84,7 @@ fn main() {
                 report.patterns.len(),
                 result.is_plausible(),
                 result.totals.fitness_evals,
-                result.totals.pattern_hits,
+                result.totals.counters[cirfix::Counter::PatternHits],
             );
             println!("{record}");
             records.push(record);

@@ -177,9 +177,9 @@ mod tests {
 
     #[test]
     fn generated_tranche_matches_manifest() {
-        let manifest = cirfix_store::parse_json(include_str!("generated/manifest.json").trim())
+        let manifest = cirfix_telemetry::parse_json(include_str!("generated/manifest.json").trim())
             .expect("manifest parses");
-        let entries = match cirfix_store::field(&manifest, "scenarios") {
+        let entries = match cirfix_telemetry::field(&manifest, "scenarios") {
             Some(cirfix_telemetry::JsonValue::Array(a)) => a,
             other => panic!("manifest scenarios: {other:?}"),
         };
@@ -187,7 +187,7 @@ mod tests {
         assert_eq!(entries.len(), tranche.len(), "manifest covers the table");
         for (entry, s) in entries.iter().zip(tranche) {
             let field = |key: &str| {
-                cirfix_store::field_str(entry, key)
+                cirfix_telemetry::field_str(entry, key)
                     .unwrap_or_else(|| panic!("manifest {key} for {}", s.id))
             };
             assert_eq!(field("project"), s.project, "{}", s.id);

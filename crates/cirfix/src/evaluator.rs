@@ -20,6 +20,7 @@ use cirfix_store::Digest;
 use cirfix_telemetry::{EvalOutcomeEvent, Event, Observer, Phase, Profiler, SimStats, StoreEvent};
 
 use crate::control::SearchControl;
+use crate::counters::{Counter, Counters};
 use crate::engine::{apply, evaluate_many, resolve_jobs, Dispatch, Probe};
 use crate::faults::{FaultInjector, FaultKind};
 use crate::fitness::{failure_report, fitness, FitnessParams, FitnessReport};
@@ -247,22 +248,8 @@ fn sim_stats(m: &SimMetrics) -> SimStats {
 pub(crate) struct EvalCounts {
     /// Fitness probes (design simulations and bloat rejections).
     pub evals: u64,
-    /// Answers from the trial cache (including in-flight duplicates).
-    pub cache_hits: u64,
-    /// Answers from the shared cache.
-    pub store_hits: u64,
-    /// Evaluations written through to the shared cache's store.
-    pub store_writes: u64,
-    /// Candidates rejected by the static lint gate.
-    pub rejected_static: u64,
-    /// Fresh simulations whose per-candidate budget expired.
-    pub timeouts: u64,
-    /// Fresh simulations whose worker panicked.
-    pub panics: u64,
-    /// Fresh simulations stopped by a hard resource cap.
-    pub exhausted: u64,
-    /// Patch applications (cache hits do none).
-    pub patch_applies: u64,
+    /// The counter table.
+    pub counters: Counters,
     /// Cumulative worker busy time.
     pub busy: Duration,
 }
@@ -527,7 +514,7 @@ impl<'a> Evaluator<'a> {
             let op = ops.get(i).copied().unwrap_or("");
             let merged = match p {
                 Prepared::Alias(j) => out[j].clone().inspect(|eval| {
-                    self.counts.cache_hits += 1;
+                    self.counts.counters[Counter::CacheHits] += 1;
                     self.observer.emit(|| {
                         Event::Candidate(eval.candidate_event(patches[i].len(), true, op))
                     });
@@ -547,7 +534,7 @@ impl<'a> Evaluator<'a> {
             return Prepared::Hit(e.clone());
         }
         let variant = apply(self.problem, patch, self.profiler());
-        self.counts.patch_applies += 1;
+        self.counts.counters[Counter::PatchApplies] += 1;
         // Content-addressed lookup in the shared cache: keyed by the
         // canonical print of the patched design, so it survives node
         // renumbering, process restarts, and different edit lists that
@@ -609,7 +596,7 @@ impl<'a> Evaluator<'a> {
     ) -> Option<Evaluation> {
         let (eval, key) = match prepared {
             Prepared::Hit(eval) => {
-                self.counts.cache_hits += 1;
+                self.counts.counters[Counter::CacheHits] += 1;
                 self.observer
                     .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
                 return Some(eval);
@@ -618,7 +605,7 @@ impl<'a> Evaluator<'a> {
                 // Answered from the shared cache: budget-free, no
                 // simulation, no Sim event — the warm-store tests count
                 // on exactly that.
-                self.counts.store_hits += 1;
+                self.counts.counters[Counter::StoreHits] += 1;
                 self.emit_store("hit", Some(key));
                 self.observer
                     .emit(|| Event::Candidate(eval.candidate_event(patch.len(), true, op)));
@@ -636,7 +623,7 @@ impl<'a> Evaluator<'a> {
                     self.counts.evals += 1;
                 }
                 if let Some((module, diag)) = lint {
-                    self.counts.rejected_static += 1;
+                    self.counts.counters[Counter::RejectedStatic] += 1;
                     self.observer
                         .emit(|| cirfix_lint::diagnostic_event(&module, &diag));
                 }
@@ -649,9 +636,9 @@ impl<'a> Evaluator<'a> {
                 // count, so cached answers never double-count and the
                 // totals are identical across resumes.
                 match eval.outcome {
-                    EvalOutcome::Timeout => self.counts.timeouts += 1,
-                    EvalOutcome::Panicked => self.counts.panics += 1,
-                    EvalOutcome::ResourceExhausted => self.counts.exhausted += 1,
+                    EvalOutcome::Timeout => self.counts.counters[Counter::Timeouts] += 1,
+                    EvalOutcome::Panicked => self.counts.counters[Counter::Panics] += 1,
+                    EvalOutcome::ResourceExhausted => self.counts.counters[Counter::Exhausted] += 1,
                     _ => {}
                 }
                 (eval, key)
@@ -687,7 +674,7 @@ impl<'a> Evaluator<'a> {
         self.pending_delta.push((patch.clone(), key));
         let _store = self.profiler.as_deref().map(|p| p.span(Phase::Store));
         if shared.insert(key, eval) {
-            self.counts.store_writes += 1;
+            self.counts.counters[Counter::StoreWrites] += 1;
             self.emit_store("write", Some(key));
         } else if shared.take_degraded_event() {
             // The store just gave up after exhausting its write
@@ -792,8 +779,16 @@ endmodule";
         assert_eq!(bits[0], bits[1]);
         assert_eq!(bits[0], bits[2]);
         assert_eq!(r.counts.evals, 1, "duplicates simulate once");
-        assert_eq!(r.counts.cache_hits, 2, "aliases count as cache hits");
-        assert_eq!(r.counts.patch_applies, 1, "aliases do zero AST work");
+        assert_eq!(
+            r.counts.counters[Counter::CacheHits],
+            2,
+            "aliases count as cache hits"
+        );
+        assert_eq!(
+            r.counts.counters[Counter::PatchApplies],
+            1,
+            "aliases do zero AST work"
+        );
     }
 
     #[test]
@@ -825,7 +820,7 @@ endmodule";
         let out = r.evaluate(std::slice::from_ref(&patch), &[], true);
         assert!(out[0].is_some(), "cache hits bypass the exhausted budget");
         assert_eq!(r.counts.evals, 1);
-        assert_eq!(r.counts.cache_hits, 1);
+        assert_eq!(r.counts.counters[Counter::CacheHits], 1);
     }
 
     #[test]

@@ -66,6 +66,7 @@
 
 mod brute;
 mod control;
+mod counters;
 mod crossover;
 mod engine;
 mod evaluator;
@@ -91,6 +92,7 @@ mod verify;
 pub use brute::{brute_force_repair, BruteConfig};
 pub use cirfix_telemetry::Observer;
 pub use control::{BatchGate, SearchControl};
+pub use counters::{Counter, CounterSpec, Counters, COUNTERS};
 pub use crossover::crossover;
 pub use engine::{evaluate_many, resolve_jobs};
 pub use evaluator::{evaluate, strip_hierarchy, Evaluation};

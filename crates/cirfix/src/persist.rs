@@ -22,6 +22,7 @@ use cirfix_sim::{ProbeSchedule, SimMetrics};
 use cirfix_store::{field, field_str, field_u64, Digest, Fnv128};
 use cirfix_telemetry::JsonValue;
 
+use crate::counters::{Counter, Counters};
 use crate::evaluator::Evaluation;
 use crate::fitness::FitnessReport;
 use crate::oracle::RepairProblem;
@@ -477,6 +478,9 @@ fn f64_array_bits(xs: &[f64]) -> JsonValue {
 /// killed-and-resumed versus uninterrupted) serialize to identical
 /// bytes. Used by the CLI's `result_out` and the CI determinism check.
 pub fn result_to_canonical_json(r: &RepairResult) -> JsonValue {
+    // Hand-listed rather than table-driven: these exact keys, in this
+    // order, are what CI and the benchmark compare byte for byte.
+    let t = &r.totals.counters;
     JsonValue::obj(vec![
         (
             "status",
@@ -504,8 +508,8 @@ pub fn result_to_canonical_json(r: &RepairResult) -> JsonValue {
             },
         ),
         ("cache_hits", JsonValue::Uint(r.cache_hits)),
-        ("store_hits", JsonValue::Uint(r.totals.store_hits)),
-        ("store_writes", JsonValue::Uint(r.totals.store_writes)),
+        ("store_hits", JsonValue::Uint(t[Counter::StoreHits])),
+        ("store_writes", JsonValue::Uint(t[Counter::StoreWrites])),
         ("minimize_evals", JsonValue::Uint(r.minimize_evals)),
         ("rejected_static", JsonValue::Uint(r.rejected_static)),
         ("trials", JsonValue::Uint(u64::from(r.totals.trials))),
@@ -517,11 +521,11 @@ pub fn result_to_canonical_json(r: &RepairResult) -> JsonValue {
             "total_generations",
             JsonValue::Uint(u64::from(r.totals.generations)),
         ),
-        ("timeouts", JsonValue::Uint(r.totals.timeouts)),
-        ("panics", JsonValue::Uint(r.totals.panics)),
-        ("exhausted", JsonValue::Uint(r.totals.exhausted)),
-        ("pattern_hits", JsonValue::Uint(r.totals.pattern_hits)),
-        ("corpus_skipped", JsonValue::Uint(r.totals.corpus_skipped)),
+        ("timeouts", JsonValue::Uint(t[Counter::Timeouts])),
+        ("panics", JsonValue::Uint(t[Counter::Panics])),
+        ("exhausted", JsonValue::Uint(t[Counter::Exhausted])),
+        ("pattern_hits", JsonValue::Uint(t[Counter::PatternHits])),
+        ("corpus_skipped", JsonValue::Uint(t[Counter::CorpusSkipped])),
     ])
 }
 
@@ -530,26 +534,25 @@ pub fn result_to_canonical_json(r: &RepairResult) -> JsonValue {
 
 /// Serializes accumulated run totals for a session checkpoint.
 pub(crate) fn totals_to_json(t: &RunTotals) -> JsonValue {
-    JsonValue::obj(vec![
+    let mut pairs = vec![
         ("trials", JsonValue::Uint(u64::from(t.trials))),
         ("fitness_evals", JsonValue::Uint(t.fitness_evals)),
         ("wall_nanos", JsonValue::Uint(t.wall_time.as_nanos() as u64)),
         ("generations", JsonValue::Uint(u64::from(t.generations))),
-        (
-            "rejected_static",
-            JsonValue::Uint(t.mutants_rejected_static),
-        ),
         ("jobs", JsonValue::Uint(u64::from(t.jobs))),
         ("busy_nanos", JsonValue::Uint(t.eval_busy.as_nanos() as u64)),
-        ("store_hits", JsonValue::Uint(t.store_hits)),
-        ("store_writes", JsonValue::Uint(t.store_writes)),
-        ("timeouts", JsonValue::Uint(t.timeouts)),
-        ("panics", JsonValue::Uint(t.panics)),
-        ("exhausted", JsonValue::Uint(t.exhausted)),
-        ("pattern_hits", JsonValue::Uint(t.pattern_hits)),
-        ("corpus_skipped", JsonValue::Uint(t.corpus_skipped)),
-    ])
+    ];
+    pairs.extend(t.counters.json_pairs());
+    JsonValue::obj(pairs)
 }
+
+/// The counters session totals must carry: every log since totals were
+/// logged has them. Later counters read as zero when absent.
+const TOTALS_REQUIRED: &[Counter] = &[
+    Counter::StoreHits,
+    Counter::StoreWrites,
+    Counter::RejectedStatic,
+];
 
 /// Deserializes run totals written by [`totals_to_json`].
 pub(crate) fn totals_from_json(v: &JsonValue) -> Result<RunTotals, String> {
@@ -558,18 +561,9 @@ pub(crate) fn totals_from_json(v: &JsonValue) -> Result<RunTotals, String> {
         fitness_evals: u64_field(v, "fitness_evals")?,
         wall_time: Duration::from_nanos(u64_field(v, "wall_nanos")?),
         generations: u64_field(v, "generations")? as u32,
-        mutants_rejected_static: u64_field(v, "rejected_static")?,
         jobs: u64_field(v, "jobs")? as u32,
         eval_busy: Duration::from_nanos(u64_field(v, "busy_nanos")?),
-        store_hits: u64_field(v, "store_hits")?,
-        store_writes: u64_field(v, "store_writes")?,
-        // Absent in checkpoints from before fault containment.
-        timeouts: field_u64(v, "timeouts").unwrap_or(0),
-        panics: field_u64(v, "panics").unwrap_or(0),
-        exhausted: field_u64(v, "exhausted").unwrap_or(0),
-        // Absent in checkpoints from before pattern mining.
-        pattern_hits: field_u64(v, "pattern_hits").unwrap_or(0),
-        corpus_skipped: field_u64(v, "corpus_skipped").unwrap_or(0),
+        counters: Counters::from_json(v, TOTALS_REQUIRED)?,
     })
 }
 

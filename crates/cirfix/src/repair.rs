@@ -18,6 +18,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::control::SearchControl;
+use crate::counters::{Counter, Counters};
 use crate::crossover::crossover;
 use crate::evaluator::{EvalCounts, Evaluation, Evaluator};
 use crate::faultloc::{fault_loc_event, fault_localization, FaultLoc};
@@ -188,9 +189,9 @@ pub enum RepairStatus {
 
 /// Aggregate resource totals for a whole run. For a single trial these
 /// repeat the per-trial numbers; [`repair_with_trials`] accumulates
-/// across every trial, including failed ones whose results are
+/// across every trial (`+=`), including failed ones whose results are
 /// otherwise discarded.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunTotals {
     /// Trials executed.
     pub trials: u32,
@@ -200,35 +201,28 @@ pub struct RunTotals {
     pub wall_time: Duration,
     /// Generations completed across all trials.
     pub generations: u32,
-    /// Candidate mutants rejected by the static lint filter before
-    /// simulation (not included in [`RunTotals::fitness_evals`]).
-    pub mutants_rejected_static: u64,
     /// Resolved evaluation worker count ([`RepairConfig::jobs`] after
     /// auto-detection).
     pub jobs: u32,
     /// Cumulative busy time across all evaluation workers. Worker
     /// utilization is `eval_busy / (wall_time * jobs)`.
     pub eval_busy: Duration,
-    /// Evaluations answered from the persistent store (or the
-    /// cross-trial shared cache) instead of a fresh simulation.
-    pub store_hits: u64,
-    /// Evaluations written through to the persistent store.
-    pub store_writes: u64,
-    /// Candidates whose per-candidate wall-clock budget expired
-    /// ([`EvalOutcome::Timeout`](crate::EvalOutcome::Timeout)).
-    pub timeouts: u64,
-    /// Candidates whose evaluation panicked and was contained
-    /// ([`EvalOutcome::Panicked`](crate::EvalOutcome::Panicked)).
-    pub panics: u64,
-    /// Candidates that hit a hard resource cap
-    /// ([`EvalOutcome::ResourceExhausted`](crate::EvalOutcome::ResourceExhausted)).
-    pub exhausted: u64,
-    /// Template draws that landed on a mined-pattern-endorsed instance
-    /// (zero unless [`RepairConfig::mined_patterns`] is non-empty).
-    pub pattern_hits: u64,
-    /// Corpus appends skipped because an identical (scenario, patch)
-    /// pair was already recorded.
-    pub corpus_skipped: u64,
+    /// Every other counter ([`crate::COUNTERS`]) across all trials.
+    pub counters: Counters,
+}
+
+impl std::ops::AddAssign for RunTotals {
+    /// Adds another trial's (or run's) totals. Every trial of a run
+    /// resolves the same worker count, so `jobs` takes the larger.
+    fn add_assign(&mut self, rhs: RunTotals) {
+        self.trials += rhs.trials;
+        self.fitness_evals += rhs.fitness_evals;
+        self.wall_time += rhs.wall_time;
+        self.generations += rhs.generations;
+        self.jobs = self.jobs.max(rhs.jobs);
+        self.eval_busy += rhs.eval_busy;
+        self.counters += rhs.counters;
+    }
 }
 
 /// The outcome of one repair trial.
@@ -283,8 +277,6 @@ pub struct Repairer<'a> {
     rng: rand::rngs::StdRng,
     eval: Evaluator<'a>,
     prior: BTreeMap<NodeId, u32>,
-    // Template draws that landed on a mined-pattern-endorsed instance.
-    pattern_hits: u64,
     // Children per operator since the last GenerationStats emission.
     mix: OperatorMix,
     // Session log writer; checkpoints are written at every generation
@@ -329,7 +321,6 @@ impl<'a> Repairer<'a> {
             config,
             rng,
             prior,
-            pattern_hits: 0,
             mix: OperatorMix::default(),
             session: None,
             resume: None,
@@ -376,13 +367,13 @@ impl<'a> Repairer<'a> {
 
     /// Evaluations answered from the trial cache so far.
     pub fn cache_hits(&self) -> u64 {
-        self.eval.counts.cache_hits
+        self.eval.counts.counters[Counter::CacheHits]
     }
 
     /// Patch applications performed so far — the AST work of the trial.
     /// A cache hit performs none (see the cache test suite).
     pub fn patch_applies(&self) -> u64 {
-        self.eval.counts.patch_applies
+        self.eval.counts.counters[Counter::PatchApplies]
     }
 
     /// The resolved evaluation worker count for this trial.
@@ -406,16 +397,9 @@ impl<'a> Repairer<'a> {
             fitness_evals: c.evals,
             wall_time,
             generations,
-            mutants_rejected_static: c.rejected_static,
             jobs: self.eval.jobs() as u32,
             eval_busy: c.busy,
-            store_hits: c.store_hits,
-            store_writes: c.store_writes,
-            timeouts: c.timeouts,
-            panics: c.panics,
-            exhausted: c.exhausted,
-            pattern_hits: self.pattern_hits,
-            corpus_skipped: 0,
+            counters: c.counters,
         }
     }
 
@@ -424,24 +408,20 @@ impl<'a> Repairer<'a> {
     /// heartbeat stream is identical for every worker count.
     fn emit_heartbeat(&self, status: &str, generation: u64, best_fitness: f64) {
         self.config.observer.emit(|| {
-            let c = &self.eval.counts;
+            let (evals, c) = (self.eval.counts.evals, &self.eval.counts.counters);
             let secs = self.eval.started.elapsed().as_secs_f64();
             Event::Heartbeat(HeartbeatEvent {
                 status: status.to_string(),
                 generation,
                 best_fitness,
-                fitness_evals: c.evals,
-                cache_hits: c.cache_hits,
-                store_hits: c.store_hits,
-                rejected_static: c.rejected_static,
-                timeouts: c.timeouts,
-                panics: c.panics,
-                exhausted: c.exhausted,
-                evals_per_s: if secs > 0.0 {
-                    c.evals as f64 / secs
-                } else {
-                    0.0
-                },
+                fitness_evals: evals,
+                cache_hits: c[Counter::CacheHits],
+                store_hits: c[Counter::StoreHits],
+                rejected_static: c[Counter::RejectedStatic],
+                timeouts: c[Counter::Timeouts],
+                panics: c[Counter::Panics],
+                exhausted: c[Counter::Exhausted],
+                evals_per_s: if secs > 0.0 { evals as f64 / secs } else { 0.0 },
             })
         });
     }
@@ -536,7 +516,7 @@ impl<'a> Repairer<'a> {
                 ) {
                     Some((edit, weight)) => {
                         if weight > 1 {
-                            self.pattern_hits += 1;
+                            self.eval.counts.counters[Counter::PatternHits] += 1;
                             self.config.observer.emit(|| {
                                 Event::Mine(cirfix_telemetry::MineEvent {
                                     op: "pattern_hit".to_string(),
@@ -618,17 +598,7 @@ impl<'a> Repairer<'a> {
             generation,
             rng: self.rng.state(),
             evals: c.evals,
-            cache_hits: c.cache_hits,
-            store_hits: c.store_hits,
-            store_writes: c.store_writes,
-            // Minimization runs after the last checkpoint.
-            minimize_evals: 0,
-            rejected_static: c.rejected_static,
-            timeouts: c.timeouts,
-            panics: c.panics,
-            exhausted: c.exhausted,
-            pattern_hits: self.pattern_hits,
-            patch_applies: c.patch_applies,
+            counters: c.counters,
             elapsed: self.eval.started.elapsed(),
             busy: c.busy,
             best_patch: best.0.clone(),
@@ -675,9 +645,9 @@ impl<'a> Repairer<'a> {
             history: history.to_vec(),
             improvement_steps: improvement_steps.to_vec(),
             repaired_source: None,
-            cache_hits: self.eval.counts.cache_hits,
+            cache_hits: self.eval.counts.counters[Counter::CacheHits],
             minimize_evals: 0,
-            rejected_static: self.eval.counts.rejected_static,
+            rejected_static: self.eval.counts.counters[Counter::RejectedStatic],
             totals: self.totals(generations, wall_time),
         }
     }
@@ -706,17 +676,9 @@ impl<'a> Repairer<'a> {
             self.rng = rand::rngs::StdRng::from_state(state.rng);
             self.eval.counts = EvalCounts {
                 evals: state.evals,
-                cache_hits: state.cache_hits,
-                store_hits: state.store_hits,
-                store_writes: state.store_writes,
-                rejected_static: state.rejected_static,
-                timeouts: state.timeouts,
-                panics: state.panics,
-                exhausted: state.exhausted,
-                patch_applies: state.patch_applies,
+                counters: state.counters,
                 busy: state.busy,
             };
-            self.pattern_hits = state.pattern_hits;
             self.eval.started = Instant::now()
                 .checked_sub(state.elapsed)
                 .unwrap_or_else(Instant::now);
@@ -880,19 +842,21 @@ impl<'a> Repairer<'a> {
             }
         }
 
-        let evals_before_minimize = self.eval.counts.evals;
         let (status, patch, unminimized_len, repaired_source) = match found {
             Some(winning) => {
                 let unmin = winning.len();
                 // Minimization probes go through the same evaluator as
                 // the search (cache, store, gates, containment,
                 // telemetry), outside the budget.
+                let evals_before_minimize = self.eval.counts.evals;
                 let minimized = {
                     let _span = Span::enter("minimize", obs.sink());
                     minimize(&winning, |p| {
                         self.eval.evaluate_one(p, "minimize").score >= 1.0
                     })
                 };
+                self.eval.counts.counters[Counter::MinimizeEvals] +=
+                    self.eval.counts.evals - evals_before_minimize;
                 let (repaired, _) = apply_patch(
                     &self.problem.source,
                     &self.problem.design_modules,
@@ -934,9 +898,9 @@ impl<'a> Repairer<'a> {
             history,
             improvement_steps,
             repaired_source,
-            cache_hits: self.eval.counts.cache_hits,
-            minimize_evals: self.eval.counts.evals - evals_before_minimize,
-            rejected_static: self.eval.counts.rejected_static,
+            cache_hits: self.eval.counts.counters[Counter::CacheHits],
+            minimize_evals: self.eval.counts.counters[Counter::MinimizeEvals],
+            rejected_static: self.eval.counts.counters[Counter::RejectedStatic],
             totals: self.totals(generations, wall_time),
         }
     }
@@ -954,7 +918,7 @@ pub fn repair(problem: &RepairProblem, config: RepairConfig) -> RepairResult {
 /// Trials share a fingerprint-keyed in-memory evaluation cache: a
 /// mutant already simulated by an earlier trial (or a different edit
 /// list producing the same design) is answered without re-simulation
-/// and counted in [`RunTotals::store_hits`].
+/// and counted as a store hit in [`RunTotals::counters`].
 pub fn repair_with_trials(
     problem: &RepairProblem,
     base: &RepairConfig,
@@ -974,21 +938,8 @@ pub fn repair_with_trials(
         let mut result = Repairer::new(problem, config)
             .with_store(shared.clone(), scenario)
             .run();
-        totals.trials += 1;
-        totals.fitness_evals += result.fitness_evals;
-        totals.wall_time += result.wall_time;
-        totals.generations += result.generations;
-        totals.mutants_rejected_static += result.rejected_static;
-        totals.jobs = result.totals.jobs;
-        totals.eval_busy += result.totals.eval_busy;
-        totals.store_hits += result.totals.store_hits;
-        totals.store_writes += result.totals.store_writes;
-        totals.timeouts += result.totals.timeouts;
-        totals.panics += result.totals.panics;
-        totals.exhausted += result.totals.exhausted;
-        totals.pattern_hits += result.totals.pattern_hits;
-        totals.corpus_skipped += result.totals.corpus_skipped;
-        result.totals = totals.clone();
+        totals += result.totals;
+        result.totals = totals;
         if result.is_plausible() {
             return result;
         }

@@ -19,6 +19,8 @@
 use cirfix_store::{field, field_f64, field_str, field_u64, parse_json};
 use cirfix_telemetry::{HeartbeatEvent, JsonValue};
 
+use crate::counters::{Counter, Counters};
+
 /// One generation of the convergence curve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenerationRow {
@@ -67,22 +69,8 @@ pub struct TrialRow {
     pub generation: u64,
     /// Fresh fitness evaluations.
     pub evals: u64,
-    /// In-memory cache hits.
-    pub cache_hits: u64,
-    /// Persistent-store hits.
-    pub store_hits: u64,
-    /// Persistent-store write-throughs.
-    pub store_writes: u64,
-    /// Evaluations spent minimizing.
-    pub minimize_evals: u64,
-    /// Mutants rejected before simulation.
-    pub rejected_static: u64,
-    /// Budget-expired evaluations.
-    pub timeouts: u64,
-    /// Contained panics.
-    pub panics: u64,
-    /// Resource-guard stops.
-    pub exhausted: u64,
+    /// Every other counter at the checkpoint.
+    pub counters: Counters,
     /// Wall-clock nanoseconds at the checkpoint.
     pub elapsed_nanos: u64,
     /// Summed worker busy nanoseconds.
@@ -331,14 +319,8 @@ impl RunReport {
                         trial: t,
                         generation: field_u64(v, "generation").unwrap_or(0),
                         evals: field_u64(v, "evals").unwrap_or(0),
-                        cache_hits: field_u64(v, "cache_hits").unwrap_or(0),
-                        store_hits: field_u64(v, "store_hits").unwrap_or(0),
-                        store_writes: field_u64(v, "store_writes").unwrap_or(0),
-                        minimize_evals: field_u64(v, "minimize_evals").unwrap_or(0),
-                        rejected_static: field_u64(v, "rejected_static").unwrap_or(0),
-                        timeouts: field_u64(v, "timeouts").unwrap_or(0),
-                        panics: field_u64(v, "panics").unwrap_or(0),
-                        exhausted: field_u64(v, "exhausted").unwrap_or(0),
+                        // Nothing is required, so this cannot fail.
+                        counters: Counters::from_json(v, &[]).unwrap_or_default(),
                         elapsed_nanos: field_u64(v, "elapsed_nanos").unwrap_or(0),
                         busy_nanos: field_u64(v, "busy_nanos").unwrap_or(0),
                         best: f64::from_bits(field_u64(v, "best_bits").unwrap_or(0)),
@@ -359,13 +341,13 @@ impl RunReport {
         // Roll trial counters up so the totals sections render for
         // sessions too.
         for t in &r.trials {
-            r.candidates += t.evals + t.cache_hits + t.store_hits;
-            r.cached += t.cache_hits;
-            if t.store_hits > 0 {
-                bump(&mut r.store_ops, "hit", t.store_hits);
-            }
-            if t.store_writes > 0 {
-                bump(&mut r.store_ops, "write", t.store_writes);
+            let c = &t.counters;
+            r.candidates += t.evals + c[Counter::CacheHits] + c[Counter::StoreHits];
+            r.cached += c[Counter::CacheHits];
+            for (op, counter) in [("hit", Counter::StoreHits), ("write", Counter::StoreWrites)] {
+                if c[counter] > 0 {
+                    bump(&mut r.store_ops, op, c[counter]);
+                }
             }
         }
         r
@@ -440,25 +422,20 @@ impl RunReport {
             push(
                 &mut out,
                 &format!(
-                    "  evals {} | cache hits {} | store hits {} writes {} | minimize {}",
-                    t.evals, t.cache_hits, t.store_hits, t.store_writes, t.minimize_evals
-                ),
-            );
-            push(
-                &mut out,
-                &format!(
-                    "  rejected {} | timeouts {} | panics {} | exhausted {}",
-                    t.rejected_static, t.timeouts, t.panics, t.exhausted
-                ),
-            );
-            push(
-                &mut out,
-                &format!(
-                    "  wall {} | busy {}",
+                    "  evals {} | wall {} | busy {}",
+                    t.evals,
                     fmt_nanos(t.elapsed_nanos),
                     fmt_nanos(t.busy_nanos)
                 ),
             );
+            let cells: Vec<String> = t
+                .counters
+                .iter()
+                .map(|(spec, n)| format!("{} {n}", spec.label))
+                .collect();
+            for line in cells.chunks(4) {
+                push(&mut out, &format!("  {}", line.join(" | ")));
+            }
             if !t.history.is_empty() {
                 let curve: Vec<String> = t.history.iter().map(|&f| fmt_f4(f)).collect();
                 push(&mut out, &format!("  best by gen: {}", curve.join(" ")));
@@ -579,18 +556,13 @@ impl RunReport {
                     self.trials
                         .iter()
                         .map(|t| {
-                            JsonValue::obj(vec![
+                            let mut row = vec![
                                 ("trial", JsonValue::Uint(t.trial)),
                                 ("generation", JsonValue::Uint(t.generation)),
                                 ("evals", JsonValue::Uint(t.evals)),
-                                ("cache_hits", JsonValue::Uint(t.cache_hits)),
-                                ("store_hits", JsonValue::Uint(t.store_hits)),
-                                ("store_writes", JsonValue::Uint(t.store_writes)),
-                                ("minimize_evals", JsonValue::Uint(t.minimize_evals)),
-                                ("rejected_static", JsonValue::Uint(t.rejected_static)),
-                                ("timeouts", JsonValue::Uint(t.timeouts)),
-                                ("panics", JsonValue::Uint(t.panics)),
-                                ("exhausted", JsonValue::Uint(t.exhausted)),
+                            ];
+                            row.extend(t.counters.json_pairs());
+                            row.extend([
                                 ("elapsed_nanos", JsonValue::Uint(t.elapsed_nanos)),
                                 ("busy_nanos", JsonValue::Uint(t.busy_nanos)),
                                 ("best", JsonValue::Float(t.best)),
@@ -601,7 +573,8 @@ impl RunReport {
                                     ),
                                 ),
                                 ("found", JsonValue::Bool(t.found)),
-                            ])
+                            ]);
+                            JsonValue::obj(row)
                         })
                         .collect(),
                 ),

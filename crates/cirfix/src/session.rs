@@ -30,6 +30,7 @@ use std::time::Duration;
 use cirfix_store::{field, field_str, field_u64, Digest, EvalWriter, SegmentWriter, Store};
 use cirfix_telemetry::{Event, JsonValue, StoreEvent};
 
+use crate::counters::{Counter, Counters};
 use crate::evaluator::{resolve_logged, Evaluation};
 use crate::faults::FaultInjector;
 use crate::oracle::RepairProblem;
@@ -281,26 +282,8 @@ pub struct Checkpoint {
     pub rng: [u64; 4],
     /// Fitness probes so far.
     pub evals: u64,
-    /// Trial-cache hits so far.
-    pub cache_hits: u64,
-    /// Shared-cache hits so far.
-    pub store_hits: u64,
-    /// Shared-cache write-throughs so far.
-    pub store_writes: u64,
-    /// Minimization probes so far.
-    pub minimize_evals: u64,
-    /// Static-filter rejections so far.
-    pub rejected_static: u64,
-    /// Per-candidate budget expiries so far.
-    pub timeouts: u64,
-    /// Contained worker panics so far.
-    pub panics: u64,
-    /// Resource-cap stops so far.
-    pub exhausted: u64,
-    /// Mined-pattern template hits so far.
-    pub pattern_hits: u64,
-    /// Patch applications so far.
-    pub patch_applies: u64,
+    /// Every other counter so far.
+    pub counters: Counters,
     /// Wall clock consumed so far.
     pub elapsed: Duration,
     /// Cumulative evaluation-worker busy time so far.
@@ -340,6 +323,16 @@ fn f64_bits_array_from(v: &JsonValue, key: &str) -> Result<Vec<f64>, SessionErro
         ))),
     }
 }
+
+/// The counters a checkpoint must carry: every log since checkpoints
+/// existed has them. Later counters read as zero when absent.
+const CHECKPOINT_REQUIRED: &[Counter] = &[
+    Counter::CacheHits,
+    Counter::StoreHits,
+    Counter::StoreWrites,
+    Counter::RejectedStatic,
+    Counter::PatchApplies,
+];
 
 fn need_u64(v: &JsonValue, key: &str) -> Result<u64, SessionError> {
     field_u64(v, key).ok_or_else(|| SessionError::Corrupt(format!("missing field {key:?}")))
@@ -435,7 +428,7 @@ impl SessionRecorder {
 
     /// Logs a generation-boundary checkpoint.
     pub fn checkpoint(&mut self, cp: &Checkpoint) {
-        let body = JsonValue::obj(vec![
+        let mut pairs = vec![
             ("type", JsonValue::Str("checkpoint".into())),
             ("trial", JsonValue::Uint(u64::from(self.trial))),
             ("generation", JsonValue::Uint(u64::from(cp.generation))),
@@ -444,16 +437,9 @@ impl SessionRecorder {
                 JsonValue::Array(cp.rng.iter().map(|&w| JsonValue::Uint(w)).collect()),
             ),
             ("evals", JsonValue::Uint(cp.evals)),
-            ("cache_hits", JsonValue::Uint(cp.cache_hits)),
-            ("store_hits", JsonValue::Uint(cp.store_hits)),
-            ("store_writes", JsonValue::Uint(cp.store_writes)),
-            ("minimize_evals", JsonValue::Uint(cp.minimize_evals)),
-            ("rejected_static", JsonValue::Uint(cp.rejected_static)),
-            ("timeouts", JsonValue::Uint(cp.timeouts)),
-            ("panics", JsonValue::Uint(cp.panics)),
-            ("exhausted", JsonValue::Uint(cp.exhausted)),
-            ("pattern_hits", JsonValue::Uint(cp.pattern_hits)),
-            ("patch_applies", JsonValue::Uint(cp.patch_applies)),
+        ];
+        pairs.extend(cp.counters.json_pairs());
+        pairs.extend([
             (
                 "elapsed_nanos",
                 JsonValue::Uint(cp.elapsed.as_nanos() as u64),
@@ -475,7 +461,7 @@ impl SessionRecorder {
                 },
             ),
         ]);
-        self.write(&body);
+        self.write(&JsonValue::obj(pairs));
     }
 
     /// Logs session completion; a log ending in this record is never
@@ -519,24 +505,8 @@ pub struct ResumeState {
     pub rng: [u64; 4],
     /// Fitness probes at the boundary.
     pub evals: u64,
-    /// Trial-cache hits at the boundary.
-    pub cache_hits: u64,
-    /// Shared-cache hits at the boundary.
-    pub store_hits: u64,
-    /// Shared-cache write-throughs at the boundary.
-    pub store_writes: u64,
-    /// Static-filter rejections at the boundary.
-    pub rejected_static: u64,
-    /// Per-candidate budget expiries at the boundary.
-    pub timeouts: u64,
-    /// Contained worker panics at the boundary.
-    pub panics: u64,
-    /// Resource-cap stops at the boundary.
-    pub exhausted: u64,
-    /// Mined-pattern template hits at the boundary.
-    pub pattern_hits: u64,
-    /// Patch applications at the boundary.
-    pub patch_applies: u64,
+    /// Every other counter at the boundary.
+    pub counters: Counters,
     /// Wall clock consumed before the interruption.
     pub elapsed: Duration,
     /// Worker busy time before the interruption.
@@ -693,17 +663,7 @@ fn fold_session(
         generation: need_u64(&cp, "generation")? as u32,
         rng,
         evals: need_u64(&cp, "evals")?,
-        cache_hits: need_u64(&cp, "cache_hits")?,
-        store_hits: need_u64(&cp, "store_hits")?,
-        store_writes: need_u64(&cp, "store_writes")?,
-        rejected_static: need_u64(&cp, "rejected_static")?,
-        // Absent in logs written before the fault-containment
-        // counters existed; zero is the correct restoration there.
-        timeouts: field_u64(&cp, "timeouts").unwrap_or(0),
-        panics: field_u64(&cp, "panics").unwrap_or(0),
-        exhausted: field_u64(&cp, "exhausted").unwrap_or(0),
-        pattern_hits: field_u64(&cp, "pattern_hits").unwrap_or(0),
-        patch_applies: need_u64(&cp, "patch_applies")?,
+        counters: Counters::from_json(&cp, CHECKPOINT_REQUIRED).map_err(SessionError::Corrupt)?,
         elapsed: Duration::from_nanos(need_u64(&cp, "elapsed_nanos")?),
         busy: Duration::from_nanos(need_u64(&cp, "busy_nanos")?),
         best: (best_patch, f64::from_bits(need_u64(&cp, "best_bits")?)),
@@ -788,7 +748,7 @@ pub fn repair_session(
     let start_trial = resume_state.as_ref().map_or(0, |s| s.trial);
     let mut totals = resume_state
         .as_ref()
-        .map_or_else(RunTotals::default, |s| s.totals.clone());
+        .map_or_else(RunTotals::default, |s| s.totals);
     let mut last: Option<RepairResult> = None;
     for t in start_trial..trials.max(1) {
         let config = RepairConfig {
@@ -809,44 +769,15 @@ pub fn repair_session(
             .take_session()
             .expect("the recorder survives the trial");
 
+        totals += result.totals;
+        result.totals = totals;
         if result.status == RepairStatus::Interrupted {
             // Deterministic halt (halt_after): the log stays open —
             // ending exactly at the last checkpoint — so a resumed run
             // picks up from here.
             recorder.sync();
-            totals.trials += 1;
-            totals.fitness_evals += result.fitness_evals;
-            totals.wall_time += result.wall_time;
-            totals.generations += result.generations;
-            totals.mutants_rejected_static += result.rejected_static;
-            totals.jobs = result.totals.jobs;
-            totals.eval_busy += result.totals.eval_busy;
-            totals.store_hits += result.totals.store_hits;
-            totals.store_writes += result.totals.store_writes;
-            totals.timeouts += result.totals.timeouts;
-            totals.panics += result.totals.panics;
-            totals.exhausted += result.totals.exhausted;
-            totals.pattern_hits += result.totals.pattern_hits;
-            totals.corpus_skipped += result.totals.corpus_skipped;
-            result.totals = totals;
             return Ok(result);
         }
-
-        totals.trials += 1;
-        totals.fitness_evals += result.fitness_evals;
-        totals.wall_time += result.wall_time;
-        totals.generations += result.generations;
-        totals.mutants_rejected_static += result.rejected_static;
-        totals.jobs = result.totals.jobs;
-        totals.eval_busy += result.totals.eval_busy;
-        totals.store_hits += result.totals.store_hits;
-        totals.store_writes += result.totals.store_writes;
-        totals.timeouts += result.totals.timeouts;
-        totals.panics += result.totals.panics;
-        totals.exhausted += result.totals.exhausted;
-        totals.pattern_hits += result.totals.pattern_hits;
-        totals.corpus_skipped += result.totals.corpus_skipped;
-        result.totals = totals.clone();
 
         if result.is_plausible() {
             // Corpus hygiene: an identical (scenario, patch) pair —
@@ -861,8 +792,8 @@ pub fn repair_session(
                     && field(r, "patch").is_some_and(|p| p.to_json() == patch_text)
             });
             if duplicate {
-                totals.corpus_skipped += 1;
-                result.totals.corpus_skipped = totals.corpus_skipped;
+                totals.counters[Counter::CorpusSkipped] += 1;
+                result.totals = totals;
                 base.observer.emit(|| {
                     Event::Store(StoreEvent {
                         op: "corpus_skip".into(),
@@ -922,4 +853,112 @@ pub fn repair_session(
     recorder.complete(RepairStatus::Exhausted);
     recorder.sync();
     Ok(last.expect("at least one trial ran"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::counters::COUNTERS;
+    use crate::report::RunReport;
+    use cirfix_store::parse_json;
+
+    /// A distinct non-zero value for every counter, offset by `base`.
+    fn distinct(base: u64) -> Counters {
+        let mut c = Counters::default();
+        for (i, spec) in COUNTERS.iter().enumerate() {
+            c[spec.counter] = base + i as u64;
+        }
+        c
+    }
+
+    #[test]
+    fn every_counter_survives_checkpoint_resume_and_report() {
+        let dir = std::env::temp_dir().join(format!("cirfix-counters-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).expect("store opens");
+        let session = Digest(7);
+        let counters = distinct(101);
+        let totals = RunTotals {
+            trials: 1,
+            fitness_evals: 40,
+            wall_time: Duration::from_nanos(5_000),
+            generations: 3,
+            jobs: 2,
+            eval_busy: Duration::from_nanos(9_000),
+            counters: distinct(201),
+        };
+        let mut recorder = SessionRecorder::new(store.session_writer(&session.to_hex()).unwrap());
+        recorder.trial_start(1, &totals);
+        recorder.checkpoint(&Checkpoint {
+            generation: 2,
+            rng: [1, 2, 3, 4],
+            evals: 50,
+            counters,
+            elapsed: Duration::from_nanos(7_000),
+            busy: Duration::from_nanos(8_000),
+            best_patch: Patch::empty(),
+            best_score: 0.5,
+            history: vec![0.25, 0.5],
+            improvement_steps: vec![0.5],
+            population: Vec::new(),
+            found: None,
+        });
+        recorder.sync();
+        let (records, _) = store.load_session(&session.to_hex()).unwrap();
+
+        let Ok(Folded::Resume(state)) = fold_session(&records, session, &SharedEvalCache::memory())
+        else {
+            panic!("the checkpoint folds into a resume state");
+        };
+        assert_eq!(state.counters, counters);
+        assert_eq!(state.totals, totals);
+
+        let report = RunReport::from_session(&records);
+        assert_eq!(report.trials.len(), 1);
+        assert_eq!(report.trials[0].counters, counters);
+        let json = parse_json(&report.to_json()).expect("report JSON parses");
+        let Some(JsonValue::Array(rows)) = field(&json, "trials") else {
+            panic!("report JSON has trial rows");
+        };
+        for spec in COUNTERS {
+            assert_eq!(
+                field_u64(&rows[0], spec.key),
+                Some(counters[spec.counter]),
+                "{}",
+                spec.key
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_totals_add_every_slot() {
+        let one = RunTotals {
+            trials: 1,
+            fitness_evals: 10,
+            wall_time: Duration::from_nanos(3),
+            generations: 4,
+            jobs: 2,
+            eval_busy: Duration::from_nanos(5),
+            counters: distinct(1),
+        };
+        let mut sum = one;
+        sum += one;
+        let mut doubled = Counters::default();
+        for spec in COUNTERS {
+            doubled[spec.counter] = 2 * one.counters[spec.counter];
+        }
+        assert_eq!(
+            sum,
+            RunTotals {
+                trials: 2,
+                fitness_evals: 20,
+                wall_time: Duration::from_nanos(6),
+                generations: 8,
+                jobs: 2,
+                eval_busy: Duration::from_nanos(10),
+                counters: doubled,
+            }
+        );
+    }
 }

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 
 use cirfix::{
-    evaluate, mined_template_candidates, oracle_from_golden, repair_session, FaultLoc,
+    evaluate, mined_template_candidates, oracle_from_golden, repair_session, Counter, FaultLoc,
     FitnessParams, Patch, RepairConfig, RepairProblem,
 };
 use cirfix_mine::{mine_corpus, write_patterns_file};
@@ -178,14 +178,14 @@ fn corpus_appends_are_deduplicated() {
 
     let first = repair_session(&problem, &RepairConfig::fast(1), 1, &dir, false).unwrap();
     assert!(first.is_plausible());
-    assert_eq!(first.totals.corpus_skipped, 0);
+    assert_eq!(first.totals.counters[Counter::CorpusSkipped], 0);
 
     // The same scenario repaired again lands on the same (scenario,
     // patch) pair: the corpus keeps one record and the rerun reports
     // the skip.
     let second = repair_session(&problem, &RepairConfig::fast(1), 1, &dir, false).unwrap();
     assert!(second.is_plausible());
-    assert_eq!(second.totals.corpus_skipped, 1);
+    assert_eq!(second.totals.counters[Counter::CorpusSkipped], 1);
 
     let store = Store::open(&dir).unwrap();
     let (records, _) = store.load_corpus().unwrap();

@@ -283,16 +283,9 @@ fn cmd_repair(config: &Config) -> Result<(), Box<dyn std::error::Error>> {
     println!("  trials           {:>12}", t.trials);
     println!("  generations      {:>12}", t.generations);
     println!("  fitness evals    {:>12}", t.fitness_evals);
-    println!("  static rejects   {:>12}", t.mutants_rejected_static);
-    println!("  cache hits       {:>12}", result.cache_hits);
-    println!("  store hits       {:>12}", t.store_hits);
-    println!("  store writes     {:>12}", t.store_writes);
-    println!("  timeouts         {:>12}", t.timeouts);
-    println!("  panics           {:>12}", t.panics);
-    println!("  exhausted        {:>12}", t.exhausted);
-    println!("  pattern hits     {:>12}", t.pattern_hits);
-    println!("  corpus skips     {:>12}", t.corpus_skipped);
-    println!("  minimize evals   {:>12}", result.minimize_evals);
+    for (spec, n) in t.counters.iter() {
+        println!("  {:<16} {n:>12}", spec.label);
+    }
     println!("  wall clock       {:>12.1?}", t.wall_time);
     println!("  eval workers     {:>12}", t.jobs);
     if t.jobs > 0 && !t.wall_time.is_zero() {

@@ -90,7 +90,7 @@ pub fn diagnostic_event(module: &str, diag: &Diagnostic) -> Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cirfix_telemetry::validate_json_line;
+    use cirfix_telemetry::parse_json;
 
     #[test]
     fn render_and_event_agree_on_fields() {
@@ -101,7 +101,7 @@ mod tests {
             "counter: error[multiple-drivers] @node 17: `q` is driven from 2 places"
         );
         let json = diagnostic_event("counter", &d).to_json();
-        validate_json_line(&json).expect("valid JSON line");
+        parse_json(&json).expect("valid JSON line");
         assert!(json.contains("\"code\":\"multiple-drivers\""));
         assert!(json.contains("\"severity\":\"error\""));
         assert!(json.contains("\"node_id\":17"));

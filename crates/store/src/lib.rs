@@ -10,8 +10,8 @@
 //!
 //! * [`hash`] — a portable streaming 128-bit FNV-1a hasher and hex
 //!   [`Digest`] for content-addressing patched designs.
-//! * [`json`] — a hand-rolled JSON parser (the reading half of
-//!   `cirfix-telemetry`'s writer/validator pair).
+//! * JSON reading — [`parse_json`] and its field accessors, re-exported
+//!   from `cirfix-telemetry` (the reading half of its writer).
 //! * [`record`] — per-line checksummed record framing.
 //! * [`segment`] — append-only JSON-lines segment files with
 //!   torn-write detection and recovery.
@@ -24,13 +24,12 @@
 //! formats are all hand-rolled on `std`.
 
 pub mod hash;
-pub mod json;
 pub mod record;
 pub mod segment;
 pub mod store;
 
+pub use cirfix_telemetry::{field, field_f64, field_str, field_u64, json_f64, parse_json};
 pub use hash::{fnv64, Digest, Fnv128};
-pub use json::{field, field_f64, field_str, field_u64, json_f64, parse_json};
 pub use record::{decode_record, encode_record, RecordError};
 pub use segment::{read_segment, recover_segment, SegmentHealth, SegmentWriter};
 pub use store::{EvalWriter, FileReport, GcReport, Lease, Store, StoreHealth, StoreReport};

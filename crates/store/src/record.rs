@@ -15,7 +15,7 @@
 use cirfix_telemetry::JsonValue;
 
 use crate::hash::fnv64;
-use crate::json::parse_json;
+use cirfix_telemetry::parse_json;
 
 /// `{"sum":"` `<16 hex>` `","body":` — the fixed offset of the body text.
 const BODY_OFFSET: usize = 8 + 16 + 9;
@@ -86,7 +86,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let line = encode_record(&body());
-        cirfix_telemetry::validate_json_line(&line).expect("frame is valid JSON");
+        parse_json(&line).expect("frame is valid JSON");
         assert_eq!(decode_record(&line).unwrap(), body());
     }
 

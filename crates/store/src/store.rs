@@ -39,8 +39,8 @@ use std::path::{Path, PathBuf};
 use cirfix_telemetry::JsonValue;
 
 use crate::hash::Digest;
-use crate::json::field_str;
 use crate::segment::{read_segment, recover_segment, SegmentHealth, SegmentWriter};
+use cirfix_telemetry::field_str;
 
 /// Aggregate damage counts from reading a family of segments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -883,7 +883,7 @@ mod tests {
         assert!(health.is_clean());
         let one = entries.iter().find(|(k, _)| *k == Digest(1)).unwrap();
         assert_eq!(
-            crate::json::field_u64(&one.1, "n"),
+            cirfix_telemetry::field_u64(&one.1, "n"),
             Some(1),
             "first write wins"
         );

@@ -373,7 +373,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate_json_line;
+    use crate::json::parse_json;
 
     #[test]
     fn every_variant_serializes_to_valid_json() {
@@ -440,7 +440,7 @@ mod tests {
         ];
         for e in &events {
             let line = e.to_json();
-            validate_json_line(&line).expect("valid JSON");
+            parse_json(&line).expect("valid JSON");
             assert!(line.contains(&format!("\"type\":\"{}\"", e.kind())));
         }
     }

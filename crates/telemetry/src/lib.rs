@@ -39,7 +39,7 @@ pub use event::{
     CandidateEvent, EvalOutcomeEvent, Event, FaultLocEvent, GenerationStats, HeartbeatEvent,
     HistogramEvent, LintEvent, MineEvent, PhaseEvent, SimStats, SpanEvent, StoreEvent,
 };
-pub use json::{validate_json_line, JsonValue};
+pub use json::{field, field_f64, field_str, field_u64, json_f64, parse_json, JsonValue};
 pub use metrics::{Counter, Gauge, MetricsRegistry, Span};
 pub use observer::Observer;
 pub use profiler::{Phase, PhaseGuard, Profiler};

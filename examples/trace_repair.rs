@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use cirfix::{repair, Observer, RepairConfig};
 use cirfix_benchmarks::scenario;
-use cirfix_telemetry::{validate_json_line, FanoutSink, JsonLinesSink, SummarySink, TelemetrySink};
+use cirfix_telemetry::{parse_json, FanoutSink, JsonLinesSink, SummarySink, TelemetrySink};
 
 fn main() {
     let scenario = scenario("counter_sens_list").expect("benchmark exists");
@@ -51,7 +51,7 @@ fn main() {
     let text = std::fs::read_to_string(trace_path).expect("trace readable");
     let mut tally: BTreeMap<String, u64> = BTreeMap::new();
     for line in text.lines() {
-        validate_json_line(line).expect("trace lines are valid JSON");
+        parse_json(line).expect("trace lines are valid JSON");
         let tag = line
             .split_once("\"type\":\"")
             .and_then(|(_, rest)| rest.split('"').next())

@@ -15,8 +15,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cirfix::{
-    repair_session, repair_with_trials, result_to_canonical_json, EvalOutcome, FaultInjector,
-    FaultPlan, Observer, Patch, RepairConfig, Repairer,
+    repair_session, repair_with_trials, result_to_canonical_json, Counter, EvalOutcome,
+    FaultInjector, FaultPlan, Observer, Patch, RepairConfig, Repairer,
 };
 use cirfix_telemetry::{Event, TelemetrySink};
 
@@ -89,11 +89,11 @@ fn injected_faults_are_contained_and_bit_identical_across_worker_counts() {
     for jobs in [1usize, 4] {
         let result = repair_with_trials(&problem, &config(jobs, PLAN), 2);
         assert!(
-            result.totals.panics >= 1,
+            result.totals.counters[Counter::Panics] >= 1,
             "jobs={jobs}: the injected panic must be contained and counted"
         );
         assert!(
-            result.totals.timeouts >= 1,
+            result.totals.counters[Counter::Timeouts] >= 1,
             "jobs={jobs}: the injected hang must be cancelled and counted"
         );
         canonical.push(result_to_canonical_json(&result).to_json());
@@ -125,12 +125,12 @@ fn each_fault_kind_is_classified_and_counted() {
             "plan {plan}: expected an `{expected}` outcome event, got {kinds:?}"
         );
         assert_eq!(
-            result.totals.panics,
+            result.totals.counters[Counter::Panics],
             u64::from(expected == "panicked"),
             "plan {plan}: panic counter"
         );
         assert_eq!(
-            result.totals.timeouts,
+            result.totals.counters[Counter::Timeouts],
             u64::from(expected == "timeout"),
             "plan {plan}: timeout counter"
         );
@@ -202,7 +202,11 @@ fn panic_inside_minimization_is_contained_and_counted() {
             result.is_plausible(),
             "jobs={jobs}: the search result stands"
         );
-        assert_eq!(result.totals.panics, 1, "jobs={jobs}: the panic is counted");
+        assert_eq!(
+            result.totals.counters[Counter::Panics],
+            1,
+            "jobs={jobs}: the panic is counted"
+        );
         let entries = log.0.lock().expect("sink poisoned").clone();
         let first_probe = entries.iter().position(|e| e == "minimize");
         assert_eq!(
@@ -252,7 +256,8 @@ fn batch_hang_is_contained_for_every_worker_count() {
         let result = repair_with_trials(&problem, &rc, 1);
         let elapsed = started.elapsed();
         assert_eq!(
-            result.totals.timeouts, 1,
+            result.totals.counters[Counter::Timeouts],
+            1,
             "jobs={jobs}: exactly the injected hang times out"
         );
         // One 300 ms budget plus generous slack for the real (fast)
@@ -326,7 +331,8 @@ fn persistent_store_failure_degrades_to_memory_and_completes() {
     );
     assert_eq!(injected.fitness_evals, clean.fitness_evals);
     assert!(
-        injected.totals.store_writes < clean.totals.store_writes,
+        injected.totals.counters[Counter::StoreWrites]
+            < clean.totals.counters[Counter::StoreWrites],
         "a degraded run persists fewer records than a healthy one"
     );
 

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use cirfix::{repair, Observer, RepairConfig, RunReport};
 use cirfix_benchmarks::scenario;
-use cirfix_telemetry::{validate_json_line, JsonLinesSink, TimingFreeSink};
+use cirfix_telemetry::{parse_json, JsonLinesSink, TimingFreeSink};
 
 /// A `Write` target that can be read back after the sink takes
 /// ownership of it.
@@ -57,7 +57,7 @@ fn timing_free_traces_are_byte_identical_across_worker_counts() {
         "timing-free traces must not depend on the worker count"
     );
     for line in serial.lines() {
-        validate_json_line(line).unwrap_or_else(|e| panic!("invalid JSON line: {e}\n{line}"));
+        parse_json(line).unwrap_or_else(|e| panic!("invalid JSON line: {e}\n{line}"));
     }
     // Scrubbing really scrubbed: no wall-clock nanoseconds or
     // throughput survive in the trace.

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cirfix::{repair_session, RepairConfig};
+use cirfix::{repair_session, Counter, RepairConfig};
 use cirfix_store::Store;
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -72,7 +72,7 @@ fn damaged_records_are_reported_skipped_and_resimulated() {
 
     let cold = repair_session(&problem, &config(), 2, &dir, false).expect("cold session runs");
     assert!(
-        cold.totals.store_writes >= 2,
+        cold.totals.counters[Counter::StoreWrites] >= 2,
         "cold run persists evaluations"
     );
 
@@ -98,7 +98,7 @@ fn damaged_records_are_reported_skipped_and_resimulated() {
         "the record behind the flipped checksum must be re-simulated, not trusted"
     );
     assert!(
-        warm.totals.store_hits > 0,
+        warm.totals.counters[Counter::StoreHits] > 0,
         "undamaged records still serve hits"
     );
 

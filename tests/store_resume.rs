@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cirfix::{repair_session, result_to_canonical_json, Observer, RepairConfig};
+use cirfix::{repair_session, result_to_canonical_json, Counter, Observer, RepairConfig};
 use cirfix_telemetry::{Event, TelemetrySink};
 
 /// Collects every event's JSON rendering, tagged with its kind.
@@ -203,7 +203,7 @@ fn warm_store_rerun_performs_zero_simulations() {
     let cold = repair_session(&problem, &config(1, Observer::none()), 2, &dir, false)
         .expect("cold session runs");
     assert!(
-        cold.totals.store_writes > 0,
+        cold.totals.counters[Counter::StoreWrites] > 0,
         "cold run must populate the store"
     );
 
@@ -229,11 +229,12 @@ fn warm_store_rerun_performs_zero_simulations() {
         "no fitness simulations on a warm store"
     );
     assert!(
-        warm.totals.store_hits > 0,
+        warm.totals.counters[Counter::StoreHits] > 0,
         "warm run must report its store hits"
     );
     assert_eq!(
-        warm.totals.store_writes, 0,
+        warm.totals.counters[Counter::StoreWrites],
+        0,
         "nothing new to persist on a warm rerun"
     );
     assert_eq!(

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use cirfix::{repair, Observer, RepairConfig};
 use cirfix_benchmarks::scenario;
-use cirfix_telemetry::{validate_json_line, JsonLinesSink, TimingFreeSink};
+use cirfix_telemetry::{parse_json, JsonLinesSink, TimingFreeSink};
 
 /// A `Write` target that can be read back after the sink takes
 /// ownership of it.
@@ -84,7 +84,7 @@ fn repair_trace_is_valid_json_with_all_event_kinds() {
 
     let mut tally: BTreeMap<&str, u64> = BTreeMap::new();
     for line in text.lines() {
-        validate_json_line(line).unwrap_or_else(|e| panic!("invalid JSON line: {e}\n{line}"));
+        parse_json(line).unwrap_or_else(|e| panic!("invalid JSON line: {e}\n{line}"));
         let tag = line
             .split_once("\"type\":\"")
             .and_then(|(_, rest)| rest.split('"').next())
