@@ -1,42 +1,42 @@
-//! Full-pipeline equivalence across the simulation backends.
+//! Full-pipeline equivalence across the two expression executors.
 //!
-//! Two process-wide switches change *how* simulation computes but must
-//! never change *what* it computes:
-//!
-//! * the logic backend — word-packed two-plane vectors vs the per-bit
-//!   reference algorithms (`cirfix_logic::set_backend`);
-//! * the expression execution mode — compiled postfix bytecode vs the
-//!   original tree walker (`cirfix_sim::set_exec_mode`).
+//! The simulator runs compiled postfix bytecode (production) or the
+//! original tree walker, as chosen by `SimConfig::exec`. The choice
+//! changes *how* simulation computes but must never change *what* it
+//! computes.
 //!
 //! For every benchmark scenario this suite builds the repair problem
-//! (which simulates the golden design to produce the oracle trace) and
-//! evaluates the faulty design, under all backend/mode combinations,
+//! under each executor, recording the oracle trace by simulating the
+//! golden design under that executor, then evaluates the faulty design,
 //! and requires byte-identical problem digests, fitness scores,
 //! mismatch sets and outcome classifications. The digest covers the
 //! serialized oracle trace, so a single differing bit anywhere in
-//! either simulation shows up here.
-//!
-//! Both switches are process-global, so all flips happen inside single
-//! `#[test]` functions (the test binary runs test fns concurrently).
+//! either simulation shows up here; equal digests also pin that `exec`
+//! itself is not hashed. The word-packed logic operators have their
+//! own per-operator oracle in `cirfix-logic`'s `tests/differential.rs`.
 
 use cirfix::{
-    all_stmt_ids, evaluate, evaluate_many, problem_digest, Edit, FitnessParams, Patch, RepairConfig,
+    all_stmt_ids, evaluate, evaluate_many, oracle_from_golden, problem_digest, Edit, FitnessParams,
+    Patch, RepairConfig, RepairProblem,
 };
-use cirfix_benchmarks::scenarios;
-use cirfix_logic::{set_backend, Backend};
-use cirfix_sim::{set_exec_mode, ExecMode};
-use std::sync::Mutex;
+use cirfix_benchmarks::{scenarios, Scenario};
+use cirfix_sim::ExecMode;
 
-/// Both switches are process-global; the two tests in this binary run
-/// on separate threads, so they take this lock for their whole body.
-static SWITCH_LOCK: Mutex<()> = Mutex::new(());
+/// The scenario's repair problem with every simulation, the golden
+/// oracle run included, under `exec`.
+fn problem_under(scenario: &Scenario, exec: ExecMode) -> RepairProblem {
+    let project = cirfix_benchmarks::project(scenario.project).expect("project exists");
+    let mut problem = scenario.problem().expect("problem builds");
+    problem.sim.exec = exec;
+    let golden = project.golden_full().expect("golden parses");
+    problem.oracle = oracle_from_golden(&golden, &problem.top, &problem.probe, &problem.sim)
+        .expect("golden simulates");
+    problem
+}
 
-/// Everything deterministic about one scenario under one combo.
-fn fingerprint(id: &str) -> String {
-    let problem = cirfix_benchmarks::scenario(id)
-        .expect("scenario exists")
-        .problem()
-        .expect("problem builds");
+/// Everything deterministic about one scenario under one executor.
+fn fingerprint(scenario: &Scenario, exec: ExecMode) -> String {
+    let problem = problem_under(scenario, exec);
     let digest = problem_digest(&problem, &RepairConfig::fast(1));
     let eval = evaluate(&problem, &Patch::empty(), FitnessParams::default());
     format!(
@@ -49,38 +49,17 @@ fn fingerprint(id: &str) -> String {
     )
 }
 
-fn restore_defaults() {
-    set_backend(Backend::Packed);
-    set_exec_mode(ExecMode::Bytecode);
-}
-
 #[test]
-fn all_scenarios_identical_across_backends_and_exec_modes() {
-    let _guard = SWITCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let combos = [
-        (Backend::Packed, ExecMode::Bytecode), // production
-        (Backend::Packed, ExecMode::TreeWalk),
-        (Backend::Reference, ExecMode::Bytecode),
-        (Backend::Reference, ExecMode::TreeWalk), // fully naive
-    ];
+fn all_scenarios_identical_across_exec_modes() {
     assert_eq!(scenarios().len(), 32, "the full suite must be covered");
     for scenario in scenarios() {
-        let mut baseline: Option<String> = None;
-        for (backend, mode) in combos {
-            set_backend(backend);
-            set_exec_mode(mode);
-            let fp = fingerprint(scenario.id);
-            match &baseline {
-                None => baseline = Some(fp),
-                Some(base) => assert_eq!(
-                    &fp, base,
-                    "[{}] diverged under {backend:?}/{mode:?}",
-                    scenario.id
-                ),
-            }
-        }
+        assert_eq!(
+            fingerprint(scenario, ExecMode::TreeWalk),
+            fingerprint(scenario, ExecMode::Bytecode),
+            "[{}] bytecode vs tree-walk diverged",
+            scenario.id
+        );
     }
-    restore_defaults();
 }
 
 /// The worker-thread path must agree with itself across worker counts
@@ -89,9 +68,9 @@ fn all_scenarios_identical_across_backends_and_exec_modes() {
 /// under concurrency.
 #[test]
 fn batch_evaluation_matches_across_jobs_and_exec_modes() {
-    let _guard = SWITCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let scenario = cirfix_benchmarks::scenario("counter_reset").expect("scenario exists");
-    let problem = scenario.problem().expect("problem builds");
+    let problem = problem_under(scenario, ExecMode::Bytecode);
+    let tree_walk = problem_under(scenario, ExecMode::TreeWalk);
     // A deterministic patch set: the empty patch plus a delete-statement
     // sweep over the design.
     let mut patches = vec![Patch::empty()];
@@ -116,7 +95,6 @@ fn batch_evaluation_matches_across_jobs_and_exec_modes() {
             .collect()
     };
 
-    set_exec_mode(ExecMode::Bytecode);
     let j1 = summarize(&evaluate_many(
         &problem,
         &patches,
@@ -129,14 +107,12 @@ fn batch_evaluation_matches_across_jobs_and_exec_modes() {
         FitnessParams::default(),
         4,
     ));
-    set_exec_mode(ExecMode::TreeWalk);
     let tw = summarize(&evaluate_many(
-        &problem,
+        &tree_walk,
         &patches,
         FitnessParams::default(),
         4,
     ));
-    restore_defaults();
 
     assert_eq!(j1, j4, "jobs=1 vs jobs=4 diverged under bytecode");
     assert_eq!(j4, tw, "bytecode vs tree-walk diverged in batch evaluation");

@@ -70,6 +70,8 @@ pub fn problem_digest(problem: &RepairProblem, config: &RepairConfig) -> Digest 
     h.write_u64(problem.sim.seed);
     h.write_u64(problem.sim.max_queue_events);
     h.write_u64(problem.sim.max_trace_rows);
+    // `sim.exec` is left out: the executors are bit-identical by design,
+    // so one store serves both.
     // Evaluation-relevant configuration. The per-candidate wall-clock
     // budget changes which candidates get classified `timeout`, so it
     // keys the cache (`u64::MAX` = unbudgeted); fault injection is

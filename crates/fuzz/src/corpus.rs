@@ -107,7 +107,7 @@ impl ReplayReport {
     }
 }
 
-/// Replays every record through the full differential harness and
+/// Replays every record through the full harness (both executors) and
 /// reports any that still trigger a finding of *any* class (a fixed
 /// panic that resurfaces as a divergence is still a regression).
 pub fn replay(records: &[CrashRecord], jobs: usize) -> ReplayReport {

@@ -1,24 +1,21 @@
 //! Robustness harness: drives inputs through the full frontend
 //! (parse → lint → elaborate → compile → simulate) with every panic
-//! contained, then cross-checks the two logic backends and the two
-//! expression execution modes against each other.
+//! contained, then cross-checks the two expression executors against
+//! each other.
 //!
-//! The backend (`cirfix_logic::set_backend`) and execution mode
-//! (`cirfix_sim::set_exec_mode`) are process-wide atomics, so the
-//! differential oracle runs in sequential *phases*: phase A simulates
-//! every input under the production pair (packed words + bytecode),
-//! phase B re-simulates under the reference pair (per-bit + tree-walk),
-//! and the per-input outcomes are compared afterwards. Each phase is
-//! internally parallel; the two configurations are never mixed across
-//! threads.
+//! The executor is a [`SimConfig`] field, so the oracle is one pass
+//! over one worker pool: a worker simulates an input under its own
+//! config (bytecode), and if the input reached the simulator, runs it
+//! again under the same config with [`ExecMode::TreeWalk`] and compares
+//! the two outcomes. The word-packed logic operators are checked
+//! separately, operator by operator, against `cirfix_logic::reference`.
 
 use cirfix::simulate_with_probe_cancellable;
-use cirfix_logic::Backend;
 use cirfix_sim::{CancelToken, ExecMode, ProbeSpec, SimConfig, SimError};
 use cirfix_store::Fnv128;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Where a fuzz input came from (recorded in findings for triage).
@@ -63,9 +60,9 @@ pub struct FuzzInput {
 }
 
 /// Outcome of running one input through the pipeline under one
-/// backend/exec-mode configuration. Everything in here is a pure
-/// function of the input (wall-clock cancellation aside), so two
-/// configurations can be compared field by field.
+/// executor. Everything in here is a pure function of the input
+/// (wall-clock cancellation aside), so two executors can be compared
+/// field by field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunStatus {
     /// The frontend rejected the source (expected for mutated inputs).
@@ -75,7 +72,7 @@ pub enum RunStatus {
     /// A deterministic simulator error (elaboration, oscillation,
     /// runaway, step-limit, runtime), by stable kind label.
     SimError(&'static str),
-    /// The wall-clock backstop fired. Excluded from differential
+    /// The wall-clock backstop fired. Excluded from the executor
     /// comparison (machine-dependent) but reported as a hang finding.
     Cancelled,
     /// A contained panic; carries the (truncated) panic message.
@@ -100,14 +97,12 @@ pub struct Finding {
 /// Harness knobs.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
-    /// Worker threads per phase (`0` = auto).
+    /// Worker threads (`0` = auto).
     pub jobs: usize,
     /// Wall-clock backstop per input. The simulator's own operation
     /// budgets are expected to bind long before this does; if this
     /// fires it *is* a finding (class `hang`).
     pub per_input_timeout: Duration,
-    /// Cross-check packed/bytecode against reference/tree-walk.
-    pub differential: bool,
 }
 
 impl Default for HarnessConfig {
@@ -115,66 +110,68 @@ impl Default for HarnessConfig {
         HarnessConfig {
             jobs: 0,
             per_input_timeout: Duration::from_secs(10),
-            differential: true,
         }
     }
 }
 
-/// Result of a harness run: per-input statuses (production phase,
-/// input order) plus the findings distilled from both phases.
+/// Result of a harness run: per-input statuses (bytecode run, input
+/// order) plus the findings distilled from both executors.
 #[derive(Debug, Clone)]
 pub struct HarnessReport {
-    /// Phase-A (packed + bytecode) status per input, in input order.
+    /// Bytecode status per input, in input order.
     pub statuses: Vec<RunStatus>,
     /// Confirmed findings, in input order.
     pub findings: Vec<Finding>,
 }
 
-/// Serializes harness runs within one process: the differential phases
-/// flip process-wide backend state, so two concurrent harnesses (e.g.
-/// two tests in one binary) must not interleave.
-static HARNESS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs every input through both differential phases and distills
-/// findings. Restores the production backend/exec-mode on exit.
+/// Runs every input under both executors on one worker pool and
+/// distills findings. Statuses and findings are in input order,
+/// independent of worker scheduling.
 pub fn run_harness(inputs: &[FuzzInput], config: &HarnessConfig) -> HarnessReport {
-    let _guard = HARNESS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let jobs = cirfix::resolve_jobs(config.jobs);
+    let workers = cirfix::resolve_jobs(config.jobs).min(inputs.len());
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<_>> = inputs.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= inputs.len() {
+                    break;
+                }
+                let _ = slots[i].set(run_both(&inputs[i], config.per_input_timeout));
+            });
+        }
+    });
 
-    cirfix_logic::set_backend(Backend::Packed);
-    cirfix_sim::set_exec_mode(ExecMode::Bytecode);
-    let phase_a = run_phase(inputs, jobs, config.per_input_timeout);
-
-    let phase_b = if config.differential {
-        cirfix_logic::set_backend(Backend::Reference);
-        cirfix_sim::set_exec_mode(ExecMode::TreeWalk);
-        // Parsing and linting are backend-independent; only inputs
-        // that reached the simulator need a reference run.
-        let rerun: Vec<bool> = phase_a
-            .iter()
-            .map(|s| !matches!(s, RunStatus::ParseError))
-            .collect();
-        let statuses = run_phase_filtered(inputs, &rerun, jobs, config.per_input_timeout);
-        cirfix_logic::set_backend(Backend::Packed);
-        cirfix_sim::set_exec_mode(ExecMode::Bytecode);
-        Some(statuses)
-    } else {
-        None
-    };
-
+    let mut statuses = Vec::with_capacity(inputs.len());
     let mut findings = Vec::new();
-    for (i, input) in inputs.iter().enumerate() {
-        let a = &phase_a[i];
-        let b = phase_b.as_ref().map(|p| &p[i]);
-        collect_findings(input, a, b, &mut findings);
+    for (input, slot) in inputs.iter().zip(slots) {
+        let (bytecode, tree_walk) = slot.into_inner().expect("every input was run");
+        collect_findings(input, &bytecode, tree_walk.as_ref(), &mut findings);
+        statuses.push(bytecode);
     }
-    HarnessReport {
-        statuses: phase_a,
-        findings,
-    }
+    HarnessReport { statuses, findings }
 }
 
-/// Distills findings for one input from its phase outcomes.
+/// Runs `input` under its own config, then, if it reached the
+/// simulator, again under the tree walker. Parsing and linting do not
+/// depend on the executor, so a parse error is not rerun.
+fn run_both(input: &FuzzInput, timeout: Duration) -> (RunStatus, Option<RunStatus>) {
+    let bytecode = run_one(input, timeout);
+    let tree_walk = (bytecode != RunStatus::ParseError).then(|| {
+        let tree_walk = FuzzInput {
+            sim: SimConfig {
+                exec: ExecMode::TreeWalk,
+                ..input.sim.clone()
+            },
+            ..input.clone()
+        };
+        run_one(&tree_walk, timeout)
+    });
+    (bytecode, tree_walk)
+}
+
+/// Distills findings for one input from its two executor outcomes.
 fn collect_findings(
     input: &FuzzInput,
     a: &RunStatus,
@@ -190,11 +187,11 @@ fn collect_findings(
             detail,
         });
     };
-    for (phase, status) in [("packed/bytecode", Some(a)), ("reference/tree-walk", b)] {
+    for (executor, status) in [("bytecode", Some(a)), ("tree-walk", b)] {
         match status {
-            Some(RunStatus::Panic(msg)) => push("panic", format!("{phase}: {msg}")),
+            Some(RunStatus::Panic(msg)) => push("panic", format!("{executor}: {msg}")),
             Some(RunStatus::Cancelled) => {
-                push("hang", format!("{phase}: wall-clock backstop fired"));
+                push("hang", format!("{executor}: wall-clock backstop fired"));
             }
             _ => {}
         }
@@ -207,59 +204,9 @@ fn collect_findings(
             )
         };
         if comparable(a) && comparable(b) && a != b {
-            push(
-                "divergence",
-                format!("packed/bytecode: {a:?} vs reference/tree-walk: {b:?}"),
-            );
+            push("divergence", format!("bytecode: {a:?} vs tree-walk: {b:?}"));
         }
     }
-}
-
-/// Runs one phase over all inputs on a scoped worker pool, returning
-/// statuses in input order (independent of worker scheduling).
-fn run_phase(inputs: &[FuzzInput], jobs: usize, timeout: Duration) -> Vec<RunStatus> {
-    let all = vec![true; inputs.len()];
-    run_phase_filtered(inputs, &all, jobs, timeout)
-}
-
-/// Like [`run_phase`], but skips inputs whose `selected` flag is
-/// false (their slot repeats [`RunStatus::ParseError`]).
-fn run_phase_filtered(
-    inputs: &[FuzzInput],
-    selected: &[bool],
-    jobs: usize,
-    timeout: Duration,
-) -> Vec<RunStatus> {
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-    let workers = jobs.max(1).min(inputs.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunStatus>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= inputs.len() {
-                    break;
-                }
-                let status = if selected[i] {
-                    run_one(&inputs[i], timeout)
-                } else {
-                    RunStatus::ParseError
-                };
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(status);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or(RunStatus::ParseError)
-        })
-        .collect()
 }
 
 /// Longest panic message kept in findings and corpus records.
@@ -353,7 +300,7 @@ mod tests {
     const TB: &str = "module tb; reg q; initial begin q = 0; #1 q = 1; #1 $finish; end endmodule";
 
     #[test]
-    fn valid_source_simulates_identically_in_both_phases() {
+    fn valid_source_simulates_identically_under_both_executors() {
         let inputs = vec![input(TB)];
         let report = run_harness(&inputs, &HarnessConfig::default());
         assert!(matches!(report.statuses[0], RunStatus::SimOk(_)));

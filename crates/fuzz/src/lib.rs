@@ -9,8 +9,7 @@
 //! 2. **Harness** ([`harness`]) — drives generated variants plus
 //!    byte/token mutations of valid sources through the whole
 //!    frontend with panics contained and a differential oracle
-//!    cross-checking the packed and per-bit logic backends and the
-//!    bytecode and tree-walk executors.
+//!    cross-checking the bytecode and tree-walk executors.
 //! 3. **Triage** ([`shrink`], [`corpus`]) — delta-debugs each finding
 //!    to a minimal reproducer and persists it as a checksummed store
 //!    record, replayed afterwards as a gating regression test.
@@ -51,8 +50,6 @@ pub struct FuzzConfig {
     pub generator: GenConfig,
     /// Per-input wall-clock backstop.
     pub per_input_timeout: Duration,
-    /// Run the reference-backend differential phase.
-    pub differential: bool,
     /// Shrink findings to minimal reproducers (slow when findings
     /// exist; free when there are none).
     pub shrink: bool,
@@ -66,13 +63,12 @@ impl Default for FuzzConfig {
             jobs: 0,
             generator: GenConfig::default(),
             per_input_timeout: Duration::from_secs(10),
-            differential: true,
             shrink: true,
         }
     }
 }
 
-/// Aggregated outcome counts over one phase-A pass, in input order.
+/// Aggregated outcome counts over the bytecode runs, in input order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuzzStats {
     /// Inputs driven through the harness.
@@ -177,7 +173,6 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     let harness_config = HarnessConfig {
         jobs: config.jobs,
         per_input_timeout: config.per_input_timeout,
-        differential: config.differential,
     };
     let report = run_harness(&inputs, &harness_config);
 

@@ -3,8 +3,8 @@
 //! `crates/fuzz/corpus/crashes.jsonl` is a committed, checksummed
 //! store segment holding every finding the fuzzer (or hand analysis)
 //! has surfaced, shrunk to a minimal reproducer, after the underlying
-//! defect was fixed. Replaying it through the full differential
-//! harness must be clean: any recurrence is a regression and fails
+//! defect was fixed. Replaying it through the full harness (bytecode
+//! and tree-walk) must be clean: any recurrence is a regression and fails
 //! this test (and the matching CI step).
 //!
 //! To add a record, append it to `canonical_records` and run

@@ -25,7 +25,6 @@
 //! assert!(a.add(&unknown).has_unknown());
 //! ```
 
-mod backend;
 mod bit;
 mod edge;
 mod literal;
@@ -33,7 +32,6 @@ mod ops;
 pub mod reference;
 mod vec;
 
-pub use backend::{backend, set_backend, Backend};
 pub use bit::{Logic, Truth};
 pub use edge::{is_negedge, is_posedge, EdgeKind};
 pub use literal::{LiteralBase, ParseLiteralError};

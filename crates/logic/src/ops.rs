@@ -18,13 +18,12 @@
 //!   the `a` plane alone (so they work at any width);
 //! * shifts: whole-word moves of both planes.
 //!
-//! Every operator is differentially tested against the per-bit
-//! algorithms in [`crate::reference`], and can be globally switched to
-//! them via [`crate::set_backend`].
+//! These are the only implementations: nothing switches an operator
+//! to another algorithm at run time. Every operator is differentially
+//! tested against the per-bit oracle in [`crate::reference`]
+//! (`tests/differential.rs`).
 
-use crate::backend::use_reference;
 use crate::bit::{Logic, Truth};
-use crate::reference;
 use crate::vec::{top_mask, words_for, LogicVec};
 
 impl LogicVec {
@@ -33,9 +32,6 @@ impl LogicVec {
     /// Addition; the result width is `max(self, rhs)` (wrapping), the usual
     /// context width of `a + b` before assignment truncation.
     pub fn add(&self, rhs: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::add(self, rhs);
-        }
         let w = self.width().max(rhs.width());
         if self.has_unknown() || rhs.has_unknown() {
             return LogicVec::unknown(w);
@@ -53,9 +49,6 @@ impl LogicVec {
 
     /// Subtraction (wrapping, unsigned two's complement).
     pub fn sub(&self, rhs: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::sub(self, rhs);
-        }
         let w = self.width().max(rhs.width());
         if self.has_unknown() || rhs.has_unknown() {
             return LogicVec::unknown(w);
@@ -76,17 +69,11 @@ impl LogicVec {
     /// limit of the `u128`-based product, shared with the reference
     /// backend.
     pub fn mul(&self, rhs: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::mul(self, rhs);
-        }
         self.arith_u128(rhs, |a, b, w| LogicVec::from_u128(a.wrapping_mul(b), w))
     }
 
     /// Division; division by zero yields all-`x`, as in Verilog.
     pub fn div(&self, rhs: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::div(self, rhs);
-        }
         self.arith_u128(rhs, |a, b, w| match a.checked_div(b) {
             Some(q) => LogicVec::from_u128(q, w),
             None => LogicVec::unknown(w),
@@ -95,9 +82,6 @@ impl LogicVec {
 
     /// Remainder; modulo zero yields all-`x`.
     pub fn rem(&self, rhs: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::rem(self, rhs);
-        }
         self.arith_u128(rhs, |a, b, w| {
             if b == 0 {
                 LogicVec::unknown(w)
@@ -109,9 +93,6 @@ impl LogicVec {
 
     /// Unary minus (two's complement at own width).
     pub fn neg(&self) -> LogicVec {
-        if use_reference() {
-            return reference::neg(self);
-        }
         let w = self.width();
         if self.has_unknown() {
             return LogicVec::unknown(w);
@@ -141,9 +122,6 @@ impl LogicVec {
 
     /// Bitwise AND at `max` width (operands zero-extended).
     pub fn bit_and(&self, rhs: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::bit_and(self, rhs);
-        }
         LogicVec::build(self.width().max(rhs.width()), |i| {
             let (a1, b1) = self.word(i);
             let (a2, b2) = rhs.word(i);
@@ -156,9 +134,6 @@ impl LogicVec {
 
     /// Bitwise OR.
     pub fn bit_or(&self, rhs: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::bit_or(self, rhs);
-        }
         LogicVec::build(self.width().max(rhs.width()), |i| {
             let (a1, b1) = self.word(i);
             let (a2, b2) = rhs.word(i);
@@ -171,9 +146,6 @@ impl LogicVec {
 
     /// Bitwise XOR.
     pub fn bit_xor(&self, rhs: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::bit_xor(self, rhs);
-        }
         LogicVec::build(self.width().max(rhs.width()), |i| {
             let (a1, b1) = self.word(i);
             let (a2, b2) = rhs.word(i);
@@ -185,9 +157,6 @@ impl LogicVec {
 
     /// Bitwise XNOR (`~^` / `^~`).
     pub fn bit_xnor(&self, rhs: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::bit_xnor(self, rhs);
-        }
         LogicVec::build(self.width().max(rhs.width()), |i| {
             let (a1, b1) = self.word(i);
             let (a2, b2) = rhs.word(i);
@@ -199,9 +168,6 @@ impl LogicVec {
 
     /// Bitwise NOT.
     pub fn bit_not(&self) -> LogicVec {
-        if use_reference() {
-            return reference::bit_not(self);
-        }
         LogicVec::build(self.width(), |i| {
             let (a, b) = self.word(i);
             ((!a & !b) | b, b)
@@ -212,9 +178,6 @@ impl LogicVec {
 
     /// Reduction AND (`&v`).
     pub fn reduce_and(&self) -> Logic {
-        if use_reference() {
-            return reference::reduce_and(self);
-        }
         let (aw, bw) = self.planes();
         let mut unknown = false;
         let last = aw.len() - 1;
@@ -240,9 +203,6 @@ impl LogicVec {
 
     /// Reduction OR (`|v`).
     pub fn reduce_or(&self) -> Logic {
-        if use_reference() {
-            return reference::reduce_or(self);
-        }
         let (aw, bw) = self.planes();
         let mut unknown = false;
         for (a, b) in aw.iter().zip(bw) {
@@ -260,9 +220,6 @@ impl LogicVec {
 
     /// Reduction XOR (`^v`).
     pub fn reduce_xor(&self) -> Logic {
-        if use_reference() {
-            return reference::reduce_xor(self);
-        }
         let (aw, bw) = self.planes();
         if bw.iter().any(|b| *b != 0) {
             return Logic::X;
@@ -291,9 +248,6 @@ impl LogicVec {
     /// Logical equality `==`: `x` when either side has unknown bits that
     /// could change the answer.
     pub fn logic_eq(&self, rhs: &LogicVec) -> Logic {
-        if use_reference() {
-            return reference::logic_eq(self, rhs);
-        }
         let n = words_for(self.width().max(rhs.width()));
         let mut unknown = false;
         for i in 0..n {
@@ -319,9 +273,6 @@ impl LogicVec {
 
     /// Case equality `===`: exact four-state match, always `0` or `1`.
     pub fn case_eq(&self, rhs: &LogicVec) -> Logic {
-        if use_reference() {
-            return reference::case_eq(self, rhs);
-        }
         let n = words_for(self.width().max(rhs.width()));
         Logic::from_bool((0..n).all(|i| self.word(i) == rhs.word(i)))
     }
@@ -333,9 +284,6 @@ impl LogicVec {
 
     /// Unsigned `<`; `x` if either operand has unknown bits.
     pub fn lt(&self, rhs: &LogicVec) -> Logic {
-        if use_reference() {
-            return reference::lt(self, rhs);
-        }
         match self.cmp_known(rhs) {
             None => Logic::X,
             Some(ord) => Logic::from_bool(ord == std::cmp::Ordering::Less),
@@ -344,9 +292,6 @@ impl LogicVec {
 
     /// Unsigned `<=`.
     pub fn le(&self, rhs: &LogicVec) -> Logic {
-        if use_reference() {
-            return reference::le(self, rhs);
-        }
         match self.cmp_known(rhs) {
             None => Logic::X,
             Some(ord) => Logic::from_bool(ord != std::cmp::Ordering::Greater),
@@ -384,25 +329,16 @@ impl LogicVec {
 
     /// Logical AND `&&` over truthiness.
     pub fn logical_and(&self, rhs: &LogicVec) -> Logic {
-        if use_reference() {
-            return reference::logical_and(self, rhs);
-        }
         self.truth().and(rhs.truth()).to_logic()
     }
 
     /// Logical OR `||`.
     pub fn logical_or(&self, rhs: &LogicVec) -> Logic {
-        if use_reference() {
-            return reference::logical_or(self, rhs);
-        }
         self.truth().or(rhs.truth()).to_logic()
     }
 
     /// Logical NOT `!`.
     pub fn logical_not(&self) -> Logic {
-        if use_reference() {
-            return reference::logical_not(self);
-        }
         self.truth().not().to_logic()
     }
 
@@ -412,9 +348,6 @@ impl LogicVec {
     /// An unknown shift amount yields all-`x`; a known amount of the
     /// width or more yields all-`0` (every bit shifted out).
     pub fn shl(&self, amount: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::shl(self, amount);
-        }
         let w = self.width();
         match self.shift_amount(amount, w) {
             ShiftAmount::Unknown => LogicVec::unknown(w),
@@ -444,9 +377,6 @@ impl LogicVec {
 
     /// Logical right shift.
     pub fn shr(&self, amount: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::shr(self, amount);
-        }
         let w = self.width();
         match self.shift_amount(amount, w) {
             ShiftAmount::Unknown => LogicVec::unknown(w),
@@ -488,9 +418,6 @@ impl LogicVec {
     /// Ternary `cond ? a : b` where `self` is the (already evaluated)
     /// condition: an unknown condition merges the branches bitwise.
     pub fn select(&self, then_v: &LogicVec, else_v: &LogicVec) -> LogicVec {
-        if use_reference() {
-            return reference::select(self, then_v, else_v);
-        }
         match self.truth() {
             Truth::True => then_v.clone(),
             Truth::False => else_v.clone(),
@@ -507,9 +434,6 @@ impl LogicVec {
 
     /// `casez` label match: `z` (or `?`) in either operand is a wildcard.
     pub fn casez_match(&self, label: &LogicVec) -> bool {
-        if use_reference() {
-            return reference::casez_match(self, label);
-        }
         let n = words_for(self.width().max(label.width()));
         (0..n).all(|i| {
             let (a1, b1) = self.word(i);
@@ -522,9 +446,6 @@ impl LogicVec {
 
     /// `casex` label match: `x` and `z` in either operand are wildcards.
     pub fn casex_match(&self, label: &LogicVec) -> bool {
-        if use_reference() {
-            return reference::casex_match(self, label);
-        }
         let n = words_for(self.width().max(label.width()));
         (0..n).all(|i| {
             let (a1, b1) = self.word(i);

@@ -2,13 +2,10 @@
 //!
 //! These functions compute IEEE 1364 semantics one bit at a time, using
 //! only the scalar truth tables in [`crate::Logic`] and the public
-//! bit-level accessors — never the packed word operators. They exist to
-//! be *differentially tested* against the word-packed backend: the
-//! property suites drive both over random vectors dense in `x`/`z` and
-//! assert bit-identical results, and the simulator can be flipped to
-//! run entirely on these algorithms via
-//! [`crate::set_backend`]`(`[`crate::Backend::Reference`]`)` for
-//! whole-run equivalence checks.
+//! bit-level accessors — never the packed word operators. They are an
+//! oracle only: the simulator always runs the word-packed operators,
+//! and the property suites drive both over random vectors dense in
+//! `x`/`z` and assert bit-identical results.
 //!
 //! Operand-width conventions match the operator docs in `ops.rs`:
 //! binary operators work at `max(lhs, rhs)` width with zero extension;

@@ -3,10 +3,11 @@
 //!
 //! Each operator is exercised on ≥ 10,000 seeded random vector pairs,
 //! swept across x/z densities of 0%, 25% and 50% and widths from 1 to
-//! 256 bits (so multiword and >128-bit paths are always hit). The
-//! reference implementations are called directly from
-//! `cirfix_logic::reference`; the packed methods run through the
-//! default backend, so no global state is flipped here.
+//! 256 bits (so multiword and >128-bit paths are always hit), plus a
+//! rare 257..=1024-bit bucket for concatenations wider than any
+//! declared benchmark vector. The reference implementations are called
+//! directly from `cirfix_logic::reference`; the packed methods are the
+//! crate's one backend, so this op-level sweep is the whole oracle.
 
 use cirfix_logic::{reference, Logic, LogicVec};
 use rand::rngs::StdRng;
@@ -18,12 +19,13 @@ const DENSITIES: [u32; 3] = [0, 25, 50];
 
 fn arb_width(rng: &mut StdRng) -> usize {
     // Bias toward narrow vectors but always revisit the multiword and
-    // beyond-u128 ranges.
-    match rng.gen_range(0u32..4) {
-        0 => rng.gen_range(1usize..=16),
-        1 => rng.gen_range(1usize..=64),
-        2 => rng.gen_range(65usize..=128),
-        _ => rng.gen_range(129usize..=256),
+    // beyond-u128 ranges, and now and then go past 256 bits.
+    match rng.gen_range(0u32..32) {
+        0..=7 => rng.gen_range(1usize..=16),
+        8..=15 => rng.gen_range(1usize..=64),
+        16..=23 => rng.gen_range(65usize..=128),
+        24..=30 => rng.gen_range(129usize..=256),
+        _ => rng.gen_range(257usize..=1024),
     }
 }
 
@@ -227,7 +229,7 @@ fn diff_structural() {
         let n_parts = rng.gen_range(1usize..4);
         let parts: Vec<LogicVec> = (0..n_parts)
             .map(|_| {
-                let pw = rng.gen_range(1usize..=72);
+                let pw = arb_width(rng);
                 arb_vec(rng, pw, d)
             })
             .collect();

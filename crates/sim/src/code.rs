@@ -30,7 +30,6 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use cirfix_ast::{BinaryOp, Expr, UnaryOp};
 use cirfix_logic::{Logic, LogicVec};
@@ -38,39 +37,6 @@ use cirfix_logic::{Logic, LogicVec};
 use crate::compile::{Op, Program};
 use crate::design::{MemId, Scope, ScopeEntry, SignalId};
 use crate::eval::{apply_binary, apply_unary, EvalCtx, EvalFault, MAX_SELECT_WIDTH};
-
-// ---------------------------------------------------------------------
-// Execution-mode switch
-// ---------------------------------------------------------------------
-
-/// How the simulator executes expressions at compiled sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Run compiled postfix bytecode where available (production).
-    Bytecode,
-    /// Always tree-walk the original `Expr` (equivalence testing).
-    TreeWalk,
-}
-
-static EXEC_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the expression execution mode for the whole process. Like
-/// the logic-backend switch, this is deliberately not a [`crate::SimConfig`]
-/// field: configs are folded into persisted digests and the mode must
-/// stay unobservable.
-pub fn set_exec_mode(mode: ExecMode) {
-    EXEC_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The currently selected execution mode.
-#[inline]
-pub fn exec_mode() -> ExecMode {
-    if EXEC_MODE.load(Ordering::Relaxed) == 0 {
-        ExecMode::Bytecode
-    } else {
-        ExecMode::TreeWalk
-    }
-}
 
 // ---------------------------------------------------------------------
 // Bytecode

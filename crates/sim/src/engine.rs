@@ -13,9 +13,7 @@ use cirfix_ast::{Expr, SourceFile};
 use cirfix_logic::{EdgeKind, Logic, LogicVec};
 
 use crate::cancel::CancelToken;
-use crate::code::{
-    compile_expr, compiled_program, exec_code, exec_mode, ExecMode, ExprCode, ProcCode,
-};
+use crate::code::{compile_expr, compiled_program, exec_code, ExprCode, ProcCode};
 use crate::compile::{Op, Program};
 use crate::design::{Design, Scope, SignalId, Store, Target};
 use crate::elab::elaborate;
@@ -45,6 +43,19 @@ pub struct SimConfig {
     pub max_trace_rows: u64,
     /// Seed for `$random`.
     pub seed: u64,
+    /// How compiled expression sites execute. The executors are
+    /// bit-identical by design, so persisted problem digests leave this
+    /// field out.
+    pub exec: ExecMode,
+}
+
+/// How the simulator executes expressions at compiled sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// Run compiled postfix bytecode where available (production).
+    Bytecode,
+    /// Always tree-walk the original `Expr` (the equivalence oracle).
+    TreeWalk,
 }
 
 impl Default for SimConfig {
@@ -57,6 +68,7 @@ impl Default for SimConfig {
             max_queue_events: 4_000_000,
             max_trace_rows: 4_000_000,
             seed: 1,
+            exec: ExecMode::Bytecode,
         }
     }
 }
@@ -715,8 +727,8 @@ impl Simulator {
         eval_expr(expr, &mut ctx)
     }
 
-    /// Runs compiled bytecode when available (and bytecode execution is
-    /// selected), else tree-walks `expr`. Both paths are semantically
+    /// Runs compiled bytecode when available (and `config.exec` selects
+    /// it), else tree-walks `expr`. Both paths are semantically
     /// identical, including fault messages and `$random` LCG draws.
     fn eval_either(
         &mut self,
@@ -725,7 +737,7 @@ impl Simulator {
         scope: &Scope,
     ) -> Result<LogicVec, EvalFault> {
         match code {
-            Some(code) if exec_mode() == ExecMode::Bytecode => self.exec_compiled(code, scope),
+            Some(code) if self.config.exec == ExecMode::Bytecode => self.exec_compiled(code, scope),
             _ => self.eval_in(expr, scope),
         }
     }
@@ -941,7 +953,7 @@ impl Simulator {
         self.cassign_queued[ci] = false;
         let scope = Rc::clone(&self.design.cassigns[ci].scope);
         let code = self.cassign_codes[ci].clone();
-        let value = match code.filter(|_| exec_mode() == ExecMode::Bytecode) {
+        let value = match code.filter(|_| self.config.exec == ExecMode::Bytecode) {
             Some(code) => self.exec_compiled(&code, &scope),
             None => {
                 let rhs = self.design.cassigns[ci].rhs.clone();

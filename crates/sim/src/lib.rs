@@ -50,14 +50,13 @@ pub mod vcd;
 pub mod width;
 
 pub use cancel::CancelToken;
-pub use code::{exec_mode, set_exec_mode, ExecMode};
 pub use compile::{CompileError, Op, Program, WaitSpec};
 pub use design::{
     ContAssign, Design, FnvHasher, Memory, NameMap, Process, ProcessKind, Scope, ScopeEntry,
     Signal, SignalId, SignalKind, Store, Target,
 };
 pub use elab::elaborate;
-pub use engine::{SimConfig, SimMetrics, SimOutcome, Simulator, CANCEL_CHECK_MASK};
+pub use engine::{ExecMode, SimConfig, SimMetrics, SimOutcome, Simulator, CANCEL_CHECK_MASK};
 pub use error::SimError;
 pub use eval::{eval_const, eval_const_u64, eval_expr, EvalCtx, EvalFault, Lcg};
 pub use probe::{ProbeSchedule, ProbeSpec, Trace};

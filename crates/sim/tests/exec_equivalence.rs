@@ -2,12 +2,11 @@
 //!
 //! The compiled dispatch loop must be *unobservable*: identical traces,
 //! logs, final signal values, `$random` draws and runtime faults. The
-//! execution mode is a process-wide switch, so everything that flips it
-//! lives in this single `#[test]` function (tests in one binary run
-//! concurrently on threads; one function serializes the flips).
+//! executor is the `exec` field of each simulator's [`SimConfig`], so
+//! the two can run side by side in one process.
 
 use cirfix_parser::parse;
-use cirfix_sim::{set_exec_mode, ExecMode, ProbeSpec, SimConfig, SimError, Simulator};
+use cirfix_sim::{ExecMode, ProbeSpec, SimConfig, SimError, Simulator};
 
 struct Observed {
     outcome: Result<bool, SimError>,
@@ -17,12 +16,16 @@ struct Observed {
     signals: Vec<(String, String)>,
 }
 
-fn observe(src: &str, top: &str, probe_sigs: &[&str], finals: &[&str]) -> Observed {
-    let file = parse(src).expect("parse");
-    let mut sim = Simulator::new(&file, top, SimConfig::default()).expect("elaborate");
-    let probe = (!probe_sigs.is_empty()).then(|| {
+fn observe(case: &Case, exec: ExecMode) -> Observed {
+    let file = parse(case.src).expect("parse");
+    let config = SimConfig {
+        exec,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(&file, case.top, config).expect("elaborate");
+    let probe = (!case.probe.is_empty()).then(|| {
         sim.add_probe(&ProbeSpec::periodic(
-            probe_sigs.iter().map(|s| s.to_string()).collect(),
+            case.probe.iter().map(|s| s.to_string()).collect(),
             0,
             1,
         ))
@@ -34,7 +37,8 @@ fn observe(src: &str, top: &str, probe_sigs: &[&str], finals: &[&str]) -> Observ
         now: sim.now(),
         log: sim.log().to_vec(),
         csv: probe.map_or_else(String::new, |p| sim.probe_trace(p).to_csv()),
-        signals: finals
+        signals: case
+            .finals
             .iter()
             .map(|s| {
                 let v = sim
@@ -217,27 +221,42 @@ const CASES: &[Case] = &[
     },
 ];
 
+fn assert_identical(case: &Case, fast: &Observed, slow: &Observed) {
+    assert_eq!(fast.outcome, slow.outcome, "[{}] outcome", case.name);
+    if case.name.starts_with("fault_") {
+        assert!(
+            matches!(fast.outcome, Err(SimError::Runtime { .. })),
+            "[{}] expected a runtime fault, got {:?}",
+            case.name,
+            fast.outcome
+        );
+    }
+    assert_eq!(fast.now, slow.now, "[{}] final time", case.name);
+    assert_eq!(fast.log, slow.log, "[{}] $display/$monitor log", case.name);
+    assert_eq!(fast.csv, slow.csv, "[{}] probe trace", case.name);
+    assert_eq!(fast.signals, slow.signals, "[{}] final values", case.name);
+}
+
 #[test]
 fn bytecode_and_tree_walk_are_observably_identical() {
     for case in CASES {
-        set_exec_mode(ExecMode::Bytecode);
-        let fast = observe(case.src, case.top, case.probe, case.finals);
-        set_exec_mode(ExecMode::TreeWalk);
-        let slow = observe(case.src, case.top, case.probe, case.finals);
-        set_exec_mode(ExecMode::Bytecode);
+        let fast = observe(case, ExecMode::Bytecode);
+        let slow = observe(case, ExecMode::TreeWalk);
+        assert_identical(case, &fast, &slow);
+    }
+}
 
-        assert_eq!(fast.outcome, slow.outcome, "[{}] outcome", case.name);
-        if case.name.starts_with("fault_") {
-            assert!(
-                matches!(fast.outcome, Err(SimError::Runtime { .. })),
-                "[{}] expected a runtime fault, got {:?}",
-                case.name,
-                fast.outcome
-            );
-        }
-        assert_eq!(fast.now, slow.now, "[{}] final time", case.name);
-        assert_eq!(fast.log, slow.log, "[{}] $display/$monitor log", case.name);
-        assert_eq!(fast.csv, slow.csv, "[{}] probe trace", case.name);
-        assert_eq!(fast.signals, slow.signals, "[{}] final values", case.name);
+/// Both executors running at once on two threads: nothing either one
+/// selects is shared with the other.
+#[test]
+fn bytecode_and_tree_walk_agree_when_run_concurrently() {
+    let run_all = |exec| CASES.iter().map(|case| observe(case, exec)).collect();
+    let (fast, slow): (Vec<Observed>, Vec<Observed>) = std::thread::scope(|s| {
+        let fast = s.spawn(|| run_all(ExecMode::Bytecode));
+        let slow = s.spawn(|| run_all(ExecMode::TreeWalk));
+        (fast.join().unwrap(), slow.join().unwrap())
+    });
+    for ((case, fast), slow) in CASES.iter().zip(&fast).zip(&slow) {
+        assert_identical(case, fast, slow);
     }
 }
