@@ -266,6 +266,23 @@ impl Expr {
         }
     }
 
+    /// The node id, writable.
+    pub fn id_mut(&mut self) -> &mut NodeId {
+        match self {
+            Expr::Literal { id, .. }
+            | Expr::Ident { id, .. }
+            | Expr::Unary { id, .. }
+            | Expr::Binary { id, .. }
+            | Expr::Cond { id, .. }
+            | Expr::Index { id, .. }
+            | Expr::Range { id, .. }
+            | Expr::Concat { id, .. }
+            | Expr::Repeat { id, .. }
+            | Expr::Str { id, .. }
+            | Expr::SysCall { id, .. } => id,
+        }
+    }
+
     /// Convenience constructor: a decimal literal of `value` at `width`.
     pub fn literal_u64(ids: &mut NodeIdGen, value: u64, width: usize) -> Expr {
         Expr::Literal {

@@ -55,6 +55,16 @@ impl LValue {
         }
     }
 
+    /// The node id, writable.
+    pub fn id_mut(&mut self) -> &mut NodeId {
+        match self {
+            LValue::Ident { id, .. }
+            | LValue::Index { id, .. }
+            | LValue::Range { id, .. }
+            | LValue::Concat { id, .. } => id,
+        }
+    }
+
     /// The names of all signals this lvalue writes.
     pub fn target_names(&self) -> Vec<&str> {
         match self {
@@ -283,6 +293,27 @@ impl Stmt {
             | Stmt::Wait { id, .. }
             | Stmt::SysCall { id, .. }
             | Stmt::Null { id } => *id,
+        }
+    }
+
+    /// The node id, writable.
+    pub fn id_mut(&mut self) -> &mut NodeId {
+        match self {
+            Stmt::Block { id, .. }
+            | Stmt::If { id, .. }
+            | Stmt::Case { id, .. }
+            | Stmt::For { id, .. }
+            | Stmt::While { id, .. }
+            | Stmt::Repeat { id, .. }
+            | Stmt::Forever { id, .. }
+            | Stmt::Blocking { id, .. }
+            | Stmt::NonBlocking { id, .. }
+            | Stmt::Delay { id, .. }
+            | Stmt::EventControl { id, .. }
+            | Stmt::EventTrigger { id, .. }
+            | Stmt::Wait { id, .. }
+            | Stmt::SysCall { id, .. }
+            | Stmt::Null { id } => id,
         }
     }
 

@@ -1,19 +1,40 @@
 //! Traversal, lookup and in-place mutation of the AST by node id.
 //!
-//! CirFix patches are sequences of edits addressed by node number; this
-//! module provides the primitives those edits are implemented with:
-//! pre-order walks ([`walk_module`]), id collection ([`ids_in_stmt`]),
-//! lookup-and-clone ([`find_stmt`], [`find_expr`]), in-place replacement
-//! ([`replace_stmt`], [`replace_expr`]), statement insertion
-//! ([`insert_stmt_after`]) and fresh renumbering of inserted copies
-//! ([`renumber_stmt`]).
+//! CirFix patches are sequences of edits addressed by node number. Every
+//! edit primitive here is a short closure over one of two pre-order
+//! walks:
+//!
+//! - The read-only walk ([`walk_source`], [`walk_module`], [`walk_item`],
+//!   [`walk_stmt`], [`walk_expr`], [`walk_lvalue`]) yields a [`NodeRef`]
+//!   for every addressable node: modules, items, statements,
+//!   expressions, lvalues, case arms, declared variables and
+//!   connections. It serves id collection ([`ids_in_stmt`], [`max_id`])
+//!   and lookup ([`find_stmt`], [`find_expr`]).
+//! - The mutable walk ([`walk_module_mut`], [`walk_stmt_mut`],
+//!   [`walk_expr_mut`], [`walk_lvalue_mut`]) yields a [`NodeMut`] for
+//!   every node below a module item that carries an id: statements,
+//!   expressions, lvalues, case arms and sensitivity events. It serves
+//!   in-place edits ([`edit_stmt`], [`edit_expr`]), statement insertion
+//!   ([`insert_stmt_after`]) and fresh renumbering of inserted copies
+//!   ([`renumber_stmt`], [`renumber_expr`]).
+//!
+//! Only the mutable walk yields sensitivity events ([`EventExpr`]): a
+//! renumbered copy must not share their ids with the original, but they
+//! are not addressable on their own, and the read-only walk's node
+//! counts feed the growth factor and fault localization.
+//!
+//! A walk callback returns `()` to visit everything or a
+//! [`ControlFlow`] to stop early; each walk returns `true` when it was
+//! stopped. Lookups and edits stop at the first match in pre-order.
+
+use std::ops::ControlFlow;
 
 use crate::expr::Expr;
-use crate::module::{Connection, Decl, Instance, Item, Module, ParamDecl, SourceFile};
+use crate::module::{Connection, DeclVar, Item, Module, SourceFile};
 use crate::node::{NodeId, NodeIdGen};
-use crate::stmt::{CaseArm, LValue, Sensitivity, Stmt};
+use crate::stmt::{CaseArm, EventExpr, LValue, Sensitivity, Stmt};
 
-/// A borrowed reference to any AST node, yielded by the walkers.
+/// A borrowed reference to any AST node, yielded by the read-only walk.
 #[derive(Debug, Clone, Copy)]
 pub enum NodeRef<'a> {
     /// A module.
@@ -29,7 +50,7 @@ pub enum NodeRef<'a> {
     /// A case arm.
     CaseArm(&'a CaseArm),
     /// A declaration variable.
-    DeclVar(&'a crate::module::DeclVar),
+    DeclVar(&'a DeclVar),
     /// An instantiation connection.
     Connection(&'a Connection),
 }
@@ -50,90 +71,246 @@ impl NodeRef<'_> {
     }
 }
 
+/// A mutable reference to a node below a module item, yielded by the
+/// mutable walk.
+#[derive(Debug)]
+pub enum NodeMut<'a> {
+    /// A statement.
+    Stmt(&'a mut Stmt),
+    /// An expression.
+    Expr(&'a mut Expr),
+    /// An assignment target.
+    LValue(&'a mut LValue),
+    /// A case arm.
+    CaseArm(&'a mut CaseArm),
+    /// A sensitivity event (the read-only walk skips these).
+    Event(&'a mut EventExpr),
+}
+
+impl NodeMut<'_> {
+    /// The node id, writable.
+    pub fn id_mut(&mut self) -> &mut NodeId {
+        match self {
+            NodeMut::Stmt(s) => s.id_mut(),
+            NodeMut::Expr(e) => e.id_mut(),
+            NodeMut::LValue(l) => l.id_mut(),
+            NodeMut::CaseArm(a) => &mut a.id,
+            NodeMut::Event(e) => &mut e.id,
+        }
+    }
+}
+
+/// What a walk callback returns: `()` never stops the walk,
+/// `ControlFlow::Break(())` stops it.
+pub trait Flow {
+    /// `true` to stop the walk.
+    fn stop(self) -> bool;
+}
+
+impl Flow for () {
+    fn stop(self) -> bool {
+        false
+    }
+}
+
+impl Flow for ControlFlow<()> {
+    fn stop(self) -> bool {
+        self.is_break()
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Read-only walks (pre-order).
+// The read-only walk (pre-order).
 // ---------------------------------------------------------------------------
 
 /// Walks every node of every module in pre-order.
-pub fn walk_source<'a>(file: &'a SourceFile, f: &mut impl FnMut(NodeRef<'a>)) {
-    for m in &file.modules {
-        walk_module(m, f);
-    }
+pub fn walk_source<'a, R: Flow>(
+    file: &'a SourceFile,
+    f: &mut impl FnMut(NodeRef<'a>) -> R,
+) -> bool {
+    file.modules.iter().any(|m| walk_module(m, f))
 }
 
 /// Walks every node of a module in pre-order.
-pub fn walk_module<'a>(module: &'a Module, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::Module(module));
-    for item in &module.items {
-        walk_item(item, f);
-    }
+pub fn walk_module<'a, R: Flow>(module: &'a Module, f: &mut impl FnMut(NodeRef<'a>) -> R) -> bool {
+    f(NodeRef::Module(module)).stop() || module.items.iter().any(|item| walk_item(item, f))
 }
 
 /// Walks an item subtree in pre-order.
-pub fn walk_item<'a>(item: &'a Item, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::Item(item));
+pub fn walk_item<'a, R: Flow>(item: &'a Item, f: &mut impl FnMut(NodeRef<'a>) -> R) -> bool {
+    if f(NodeRef::Item(item)).stop() {
+        return true;
+    }
     match item {
-        Item::Decl(d) => walk_decl(d, f),
-        Item::Param(p) => walk_param(p, f),
-        Item::Assign { lhs, rhs, .. } => {
-            walk_lvalue(lhs, f);
-            walk_expr(rhs, f);
+        Item::Decl(d) => {
+            d.range
+                .iter()
+                .any(|(msb, lsb)| walk_expr(msb, f) || walk_expr(lsb, f))
+                || d.vars.iter().any(|v| {
+                    f(NodeRef::DeclVar(v)).stop()
+                        || v.array
+                            .iter()
+                            .any(|(hi, lo)| walk_expr(hi, f) || walk_expr(lo, f))
+                        || v.init.iter().any(|init| walk_expr(init, f))
+                })
         }
+        Item::Param(p) => walk_expr(&p.value, f),
+        Item::Assign { lhs, rhs, .. } => walk_lvalue(lhs, f) || walk_expr(rhs, f),
         Item::Always { body, .. } | Item::Initial { body, .. } => walk_stmt(body, f),
-        Item::Instance(inst) => walk_instance(inst, f),
-    }
-}
-
-fn walk_decl<'a>(d: &'a Decl, f: &mut impl FnMut(NodeRef<'a>)) {
-    if let Some((msb, lsb)) = &d.range {
-        walk_expr(msb, f);
-        walk_expr(lsb, f);
-    }
-    for v in &d.vars {
-        f(NodeRef::DeclVar(v));
-        if let Some((hi, lo)) = &v.array {
-            walk_expr(hi, f);
-            walk_expr(lo, f);
-        }
-        if let Some(init) = &v.init {
-            walk_expr(init, f);
-        }
-    }
-}
-
-fn walk_param<'a>(p: &'a ParamDecl, f: &mut impl FnMut(NodeRef<'a>)) {
-    walk_expr(&p.value, f);
-}
-
-fn walk_instance<'a>(inst: &'a Instance, f: &mut impl FnMut(NodeRef<'a>)) {
-    for c in inst.params.iter().chain(&inst.ports) {
-        f(NodeRef::Connection(c));
-        if let Some(e) = &c.expr {
-            walk_expr(e, f);
-        }
+        Item::Instance(inst) => inst
+            .params
+            .iter()
+            .chain(&inst.ports)
+            .any(|c| f(NodeRef::Connection(c)).stop() || c.expr.iter().any(|e| walk_expr(e, f))),
     }
 }
 
 /// Walks a statement subtree in pre-order.
-pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::Stmt(stmt));
+pub fn walk_stmt<'a, R: Flow>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>) -> R) -> bool {
+    if f(NodeRef::Stmt(stmt)).stop() {
+        return true;
+    }
     match stmt {
-        Stmt::Block { stmts, .. } => {
-            for s in stmts {
-                walk_stmt(s, f);
-            }
+        Stmt::Block { stmts, .. } => stmts.iter().any(|s| walk_stmt(s, f)),
+        Stmt::If {
+            cond,
+            then_s,
+            else_s,
+            ..
+        } => walk_expr(cond, f) || walk_stmt(then_s, f) || else_s.iter().any(|e| walk_stmt(e, f)),
+        Stmt::Case {
+            subject,
+            arms,
+            default,
+            ..
+        } => {
+            walk_expr(subject, f)
+                || arms.iter().any(|arm| {
+                    f(NodeRef::CaseArm(arm)).stop()
+                        || arm.labels.iter().any(|l| walk_expr(l, f))
+                        || walk_stmt(&arm.body, f)
+                })
+                || default.iter().any(|d| walk_stmt(d, f))
         }
+        Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+            ..
+        } => walk_stmt(init, f) || walk_expr(cond, f) || walk_stmt(step, f) || walk_stmt(body, f),
+        Stmt::While { cond, body, .. } => walk_expr(cond, f) || walk_stmt(body, f),
+        Stmt::Repeat { count, body, .. } => walk_expr(count, f) || walk_stmt(body, f),
+        Stmt::Forever { body, .. } => walk_stmt(body, f),
+        Stmt::Blocking {
+            lhs, delay, rhs, ..
+        }
+        | Stmt::NonBlocking {
+            lhs, delay, rhs, ..
+        } => walk_lvalue(lhs, f) || delay.iter().any(|d| walk_expr(d, f)) || walk_expr(rhs, f),
+        Stmt::Delay { amount, body, .. } => {
+            walk_expr(amount, f) || body.iter().any(|b| walk_stmt(b, f))
+        }
+        Stmt::EventControl {
+            sensitivity, body, ..
+        } => {
+            let events: &[EventExpr] = match sensitivity {
+                Sensitivity::List(events) => events,
+                Sensitivity::Star => &[],
+            };
+            events.iter().any(|ev| walk_expr(&ev.expr, f)) || body.iter().any(|b| walk_stmt(b, f))
+        }
+        Stmt::Wait { cond, body, .. } => walk_expr(cond, f) || body.iter().any(|b| walk_stmt(b, f)),
+        Stmt::SysCall { args, .. } => args.iter().any(|a| walk_expr(a, f)),
+        Stmt::EventTrigger { .. } | Stmt::Null { .. } => false,
+    }
+}
+
+/// Walks an expression subtree in pre-order.
+pub fn walk_expr<'a, R: Flow>(expr: &'a Expr, f: &mut impl FnMut(NodeRef<'a>) -> R) -> bool {
+    if f(NodeRef::Expr(expr)).stop() {
+        return true;
+    }
+    match expr {
+        Expr::Literal { .. } | Expr::Ident { .. } | Expr::Str { .. } => false,
+        Expr::Unary { arg, .. } => walk_expr(arg, f),
+        Expr::Binary { lhs, rhs, .. } => walk_expr(lhs, f) || walk_expr(rhs, f),
+        Expr::Cond {
+            cond,
+            then_e,
+            else_e,
+            ..
+        } => walk_expr(cond, f) || walk_expr(then_e, f) || walk_expr(else_e, f),
+        Expr::Index { index, .. } => walk_expr(index, f),
+        Expr::Range { msb, lsb, .. } => walk_expr(msb, f) || walk_expr(lsb, f),
+        Expr::Concat { parts, .. } => parts.iter().any(|p| walk_expr(p, f)),
+        Expr::Repeat { count, parts, .. } => {
+            walk_expr(count, f) || parts.iter().any(|p| walk_expr(p, f))
+        }
+        Expr::SysCall { args, .. } => args.iter().any(|a| walk_expr(a, f)),
+    }
+}
+
+/// Walks an lvalue subtree in pre-order.
+pub fn walk_lvalue<'a, R: Flow>(lv: &'a LValue, f: &mut impl FnMut(NodeRef<'a>) -> R) -> bool {
+    if f(NodeRef::LValue(lv)).stop() {
+        return true;
+    }
+    match lv {
+        LValue::Ident { .. } => false,
+        LValue::Index { index, .. } => walk_expr(index, f),
+        LValue::Range { msb, lsb, .. } => walk_expr(msb, f) || walk_expr(lsb, f),
+        LValue::Concat { parts, .. } => parts.iter().any(|p| walk_lvalue(p, f)),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The mutable walk (pre-order). A callback may rewrite the node it is
+// given; the walk then descends into what the node holds afterwards.
+// ---------------------------------------------------------------------------
+
+/// Walks every statement, expression, lvalue, case arm and sensitivity
+/// event of a module's items in pre-order.
+pub fn walk_module_mut<R: Flow>(module: &mut Module, f: &mut impl FnMut(NodeMut<'_>) -> R) -> bool {
+    module.items.iter_mut().any(|item| match item {
+        Item::Decl(d) => {
+            d.range
+                .iter_mut()
+                .any(|(msb, lsb)| walk_expr_mut(msb, f) || walk_expr_mut(lsb, f))
+                || d.vars.iter_mut().any(|v| {
+                    v.array
+                        .iter_mut()
+                        .any(|(hi, lo)| walk_expr_mut(hi, f) || walk_expr_mut(lo, f))
+                        || v.init.iter_mut().any(|init| walk_expr_mut(init, f))
+                })
+        }
+        Item::Param(p) => walk_expr_mut(&mut p.value, f),
+        Item::Assign { lhs, rhs, .. } => walk_lvalue_mut(lhs, f) || walk_expr_mut(rhs, f),
+        Item::Always { body, .. } | Item::Initial { body, .. } => walk_stmt_mut(body, f),
+        Item::Instance(inst) => inst
+            .params
+            .iter_mut()
+            .chain(&mut inst.ports)
+            .any(|c| c.expr.iter_mut().any(|e| walk_expr_mut(e, f))),
+    })
+}
+
+/// Walks a statement subtree in pre-order, sensitivity events included.
+pub fn walk_stmt_mut<R: Flow>(stmt: &mut Stmt, f: &mut impl FnMut(NodeMut<'_>) -> R) -> bool {
+    if f(NodeMut::Stmt(stmt)).stop() {
+        return true;
+    }
+    match stmt {
+        Stmt::Block { stmts, .. } => stmts.iter_mut().any(|s| walk_stmt_mut(s, f)),
         Stmt::If {
             cond,
             then_s,
             else_s,
             ..
         } => {
-            walk_expr(cond, f);
-            walk_stmt(then_s, f);
-            if let Some(e) = else_s {
-                walk_stmt(e, f);
-            }
+            walk_expr_mut(cond, f)
+                || walk_stmt_mut(then_s, f)
+                || else_s.iter_mut().any(|e| walk_stmt_mut(e, f))
         }
         Stmt::Case {
             subject,
@@ -141,17 +318,13 @@ pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>)) {
             default,
             ..
         } => {
-            walk_expr(subject, f);
-            for arm in arms {
-                f(NodeRef::CaseArm(arm));
-                for l in &arm.labels {
-                    walk_expr(l, f);
-                }
-                walk_stmt(&arm.body, f);
-            }
-            if let Some(d) = default {
-                walk_stmt(d, f);
-            }
+            walk_expr_mut(subject, f)
+                || arms.iter_mut().any(|arm| {
+                    f(NodeMut::CaseArm(arm)).stop()
+                        || arm.labels.iter_mut().any(|l| walk_expr_mut(l, f))
+                        || walk_stmt_mut(&mut arm.body, f)
+                })
+                || default.iter_mut().any(|d| walk_stmt_mut(d, f))
         }
         Stmt::For {
             init,
@@ -160,129 +333,87 @@ pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(NodeRef<'a>)) {
             body,
             ..
         } => {
-            walk_stmt(init, f);
-            walk_expr(cond, f);
-            walk_stmt(step, f);
-            walk_stmt(body, f);
+            walk_stmt_mut(init, f)
+                || walk_expr_mut(cond, f)
+                || walk_stmt_mut(step, f)
+                || walk_stmt_mut(body, f)
         }
-        Stmt::While { cond, body, .. } => {
-            walk_expr(cond, f);
-            walk_stmt(body, f);
-        }
-        Stmt::Repeat { count, body, .. } => {
-            walk_expr(count, f);
-            walk_stmt(body, f);
-        }
-        Stmt::Forever { body, .. } => walk_stmt(body, f),
+        Stmt::While { cond, body, .. } => walk_expr_mut(cond, f) || walk_stmt_mut(body, f),
+        Stmt::Repeat { count, body, .. } => walk_expr_mut(count, f) || walk_stmt_mut(body, f),
+        Stmt::Forever { body, .. } => walk_stmt_mut(body, f),
         Stmt::Blocking {
             lhs, delay, rhs, ..
         }
         | Stmt::NonBlocking {
             lhs, delay, rhs, ..
         } => {
-            walk_lvalue(lhs, f);
-            if let Some(d) = delay {
-                walk_expr(d, f);
-            }
-            walk_expr(rhs, f);
+            walk_lvalue_mut(lhs, f)
+                || delay.iter_mut().any(|d| walk_expr_mut(d, f))
+                || walk_expr_mut(rhs, f)
         }
         Stmt::Delay { amount, body, .. } => {
-            walk_expr(amount, f);
-            if let Some(b) = body {
-                walk_stmt(b, f);
-            }
+            walk_expr_mut(amount, f) || body.iter_mut().any(|b| walk_stmt_mut(b, f))
         }
         Stmt::EventControl {
             sensitivity, body, ..
         } => {
-            if let Sensitivity::List(events) = sensitivity {
-                for ev in events {
-                    walk_expr(&ev.expr, f);
-                }
-            }
-            if let Some(b) = body {
-                walk_stmt(b, f);
-            }
+            let events: &mut [EventExpr] = match sensitivity {
+                Sensitivity::List(events) => events,
+                Sensitivity::Star => &mut [],
+            };
+            events
+                .iter_mut()
+                .any(|ev| f(NodeMut::Event(ev)).stop() || walk_expr_mut(&mut ev.expr, f))
+                || body.iter_mut().any(|b| walk_stmt_mut(b, f))
         }
         Stmt::Wait { cond, body, .. } => {
-            walk_expr(cond, f);
-            if let Some(b) = body {
-                walk_stmt(b, f);
-            }
+            walk_expr_mut(cond, f) || body.iter_mut().any(|b| walk_stmt_mut(b, f))
         }
-        Stmt::SysCall { args, .. } => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        Stmt::EventTrigger { .. } | Stmt::Null { .. } => {}
+        Stmt::SysCall { args, .. } => args.iter_mut().any(|a| walk_expr_mut(a, f)),
+        Stmt::EventTrigger { .. } | Stmt::Null { .. } => false,
     }
 }
 
 /// Walks an expression subtree in pre-order.
-pub fn walk_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::Expr(expr));
+pub fn walk_expr_mut<R: Flow>(expr: &mut Expr, f: &mut impl FnMut(NodeMut<'_>) -> R) -> bool {
+    if f(NodeMut::Expr(expr)).stop() {
+        return true;
+    }
     match expr {
-        Expr::Literal { .. } | Expr::Ident { .. } | Expr::Str { .. } => {}
-        Expr::Unary { arg, .. } => walk_expr(arg, f),
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
-        }
+        Expr::Literal { .. } | Expr::Ident { .. } | Expr::Str { .. } => false,
+        Expr::Unary { arg, .. } => walk_expr_mut(arg, f),
+        Expr::Binary { lhs, rhs, .. } => walk_expr_mut(lhs, f) || walk_expr_mut(rhs, f),
         Expr::Cond {
             cond,
             then_e,
             else_e,
             ..
-        } => {
-            walk_expr(cond, f);
-            walk_expr(then_e, f);
-            walk_expr(else_e, f);
-        }
-        Expr::Index { index, .. } => walk_expr(index, f),
-        Expr::Range { msb, lsb, .. } => {
-            walk_expr(msb, f);
-            walk_expr(lsb, f);
-        }
-        Expr::Concat { parts, .. } => {
-            for p in parts {
-                walk_expr(p, f);
-            }
-        }
+        } => walk_expr_mut(cond, f) || walk_expr_mut(then_e, f) || walk_expr_mut(else_e, f),
+        Expr::Index { index, .. } => walk_expr_mut(index, f),
+        Expr::Range { msb, lsb, .. } => walk_expr_mut(msb, f) || walk_expr_mut(lsb, f),
+        Expr::Concat { parts, .. } => parts.iter_mut().any(|p| walk_expr_mut(p, f)),
         Expr::Repeat { count, parts, .. } => {
-            walk_expr(count, f);
-            for p in parts {
-                walk_expr(p, f);
-            }
+            walk_expr_mut(count, f) || parts.iter_mut().any(|p| walk_expr_mut(p, f))
         }
-        Expr::SysCall { args, .. } => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
+        Expr::SysCall { args, .. } => args.iter_mut().any(|a| walk_expr_mut(a, f)),
     }
 }
 
 /// Walks an lvalue subtree in pre-order.
-pub fn walk_lvalue<'a>(lv: &'a LValue, f: &mut impl FnMut(NodeRef<'a>)) {
-    f(NodeRef::LValue(lv));
+pub fn walk_lvalue_mut<R: Flow>(lv: &mut LValue, f: &mut impl FnMut(NodeMut<'_>) -> R) -> bool {
+    if f(NodeMut::LValue(lv)).stop() {
+        return true;
+    }
     match lv {
-        LValue::Ident { .. } => {}
-        LValue::Index { index, .. } => walk_expr(index, f),
-        LValue::Range { msb, lsb, .. } => {
-            walk_expr(msb, f);
-            walk_expr(lsb, f);
-        }
-        LValue::Concat { parts, .. } => {
-            for p in parts {
-                walk_lvalue(p, f);
-            }
-        }
+        LValue::Ident { .. } => false,
+        LValue::Index { index, .. } => walk_expr_mut(index, f),
+        LValue::Range { msb, lsb, .. } => walk_expr_mut(msb, f) || walk_expr_mut(lsb, f),
+        LValue::Concat { parts, .. } => parts.iter_mut().any(|p| walk_lvalue_mut(p, f)),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Id queries.
+// Id queries and lookup.
 // ---------------------------------------------------------------------------
 
 /// All node ids in a statement subtree.
@@ -312,36 +443,28 @@ pub fn idents_in_expr(expr: &Expr) -> Vec<String> {
     expr.identifiers().iter().map(|s| s.to_string()).collect()
 }
 
-// ---------------------------------------------------------------------------
-// Lookup (find & clone).
-// ---------------------------------------------------------------------------
-
-/// Finds the statement with id `target` anywhere in the module.
-pub fn find_stmt<'a>(module: &'a Module, target: NodeId) -> Option<&'a Stmt> {
-    let mut found: Option<&'a Stmt> = None;
-    walk_module(module, &mut |n| {
-        if found.is_none() {
-            if let NodeRef::Stmt(s) = n {
-                if s.id() == target {
-                    found = Some(s);
-                }
-            }
+/// The first statement with id `target` in the module, in pre-order.
+pub fn find_stmt(module: &Module, target: NodeId) -> Option<&Stmt> {
+    let mut found = None;
+    walk_module(module, &mut |n| match n {
+        NodeRef::Stmt(s) if s.id() == target => {
+            found = Some(s);
+            ControlFlow::Break(())
         }
+        _ => ControlFlow::Continue(()),
     });
     found
 }
 
-/// Finds the expression with id `target` anywhere in the module.
-pub fn find_expr<'a>(module: &'a Module, target: NodeId) -> Option<&'a Expr> {
-    let mut found: Option<&'a Expr> = None;
-    walk_module(module, &mut |n| {
-        if found.is_none() {
-            if let NodeRef::Expr(e) = n {
-                if e.id() == target {
-                    found = Some(e);
-                }
-            }
+/// The first expression with id `target` in the module, in pre-order.
+pub fn find_expr(module: &Module, target: NodeId) -> Option<&Expr> {
+    let mut found = None;
+    walk_module(module, &mut |n| match n {
+        NodeRef::Expr(e) if e.id() == target => {
+            found = Some(e);
+            ControlFlow::Break(())
         }
+        _ => ControlFlow::Continue(()),
     });
     found
 }
@@ -369,297 +492,47 @@ pub fn exprs_of_module(module: &Module) -> Vec<&Expr> {
 }
 
 // ---------------------------------------------------------------------------
-// In-place mutation by id.
+// In-place edits.
 // ---------------------------------------------------------------------------
 
-/// Replaces the statement with id `target` by `new`, returning `true` on
-/// success. The first match in pre-order wins.
-pub fn replace_stmt(module: &mut Module, target: NodeId, new: &Stmt) -> bool {
-    for item in &mut module.items {
-        match item {
-            Item::Always { body, .. } | Item::Initial { body, .. } => {
-                if body.id() == target {
-                    *body = new.clone();
-                    return true;
-                }
-                if replace_stmt_rec(body, target, new) {
-                    return true;
-                }
-            }
-            _ => {}
+/// Runs `edit` on the first statement with id `target` in pre-order and
+/// returns its result, or `None` when the module has no such statement.
+/// Replacing a statement is `edit_stmt(m, id, |s| *s = new)`.
+pub fn edit_stmt<R>(
+    module: &mut Module,
+    target: NodeId,
+    edit: impl FnOnce(&mut Stmt) -> R,
+) -> Option<R> {
+    let mut edit = Some(edit);
+    let mut out = None;
+    walk_module_mut(module, &mut |n| match n {
+        NodeMut::Stmt(s) if s.id() == target => {
+            out = edit.take().map(|edit| edit(s));
+            ControlFlow::Break(())
         }
-    }
-    false
+        _ => ControlFlow::Continue(()),
+    });
+    out
 }
 
-fn replace_in_box(slot: &mut Box<Stmt>, target: NodeId, new: &Stmt) -> bool {
-    if slot.id() == target {
-        **slot = new.clone();
-        true
-    } else {
-        replace_stmt_rec(slot, target, new)
-    }
-}
-
-fn replace_in_opt(slot: &mut Option<Box<Stmt>>, target: NodeId, new: &Stmt) -> bool {
-    match slot {
-        Some(b) => replace_in_box(b, target, new),
-        None => false,
-    }
-}
-
-fn replace_stmt_rec(stmt: &mut Stmt, target: NodeId, new: &Stmt) -> bool {
-    match stmt {
-        Stmt::Block { stmts, .. } => {
-            for s in stmts.iter_mut() {
-                if s.id() == target {
-                    *s = new.clone();
-                    return true;
-                }
-                if replace_stmt_rec(s, target, new) {
-                    return true;
-                }
-            }
-            false
+/// Runs `edit` on the first expression with id `target` in pre-order
+/// (statements, continuous assigns, parameters, declarations,
+/// connections) and returns its result, or `None` when there is none.
+pub fn edit_expr<R>(
+    module: &mut Module,
+    target: NodeId,
+    edit: impl FnOnce(&mut Expr) -> R,
+) -> Option<R> {
+    let mut edit = Some(edit);
+    let mut out = None;
+    walk_module_mut(module, &mut |n| match n {
+        NodeMut::Expr(e) if e.id() == target => {
+            out = edit.take().map(|edit| edit(e));
+            ControlFlow::Break(())
         }
-        Stmt::If { then_s, else_s, .. } => {
-            replace_in_box(then_s, target, new) || replace_in_opt(else_s, target, new)
-        }
-        Stmt::Case { arms, default, .. } => {
-            for arm in arms.iter_mut() {
-                if arm.body.id() == target {
-                    arm.body = new.clone();
-                    return true;
-                }
-                if replace_stmt_rec(&mut arm.body, target, new) {
-                    return true;
-                }
-            }
-            replace_in_opt(default, target, new)
-        }
-        Stmt::For {
-            init, step, body, ..
-        } => {
-            replace_in_box(init, target, new)
-                || replace_in_box(step, target, new)
-                || replace_in_box(body, target, new)
-        }
-        Stmt::While { body, .. } | Stmt::Repeat { body, .. } | Stmt::Forever { body, .. } => {
-            replace_in_box(body, target, new)
-        }
-        Stmt::Delay { body, .. } | Stmt::EventControl { body, .. } | Stmt::Wait { body, .. } => {
-            replace_in_opt(body, target, new)
-        }
-        Stmt::Blocking { .. }
-        | Stmt::NonBlocking { .. }
-        | Stmt::EventTrigger { .. }
-        | Stmt::SysCall { .. }
-        | Stmt::Null { .. } => false,
-    }
-}
-
-/// Replaces the expression with id `target` by `new` anywhere in the
-/// module (statement expressions, continuous assigns, parameters,
-/// declarations, connections). Returns `true` on success.
-pub fn replace_expr(module: &mut Module, target: NodeId, new: &Expr) -> bool {
-    for item in &mut module.items {
-        let done = match item {
-            Item::Decl(d) => {
-                let mut hit = false;
-                if let Some((msb, lsb)) = &mut d.range {
-                    hit =
-                        replace_expr_slot(msb, target, new) || replace_expr_slot(lsb, target, new);
-                }
-                if !hit {
-                    for v in &mut d.vars {
-                        if let Some((hi, lo)) = &mut v.array {
-                            if replace_expr_slot(hi, target, new)
-                                || replace_expr_slot(lo, target, new)
-                            {
-                                hit = true;
-                                break;
-                            }
-                        }
-                        if let Some(init) = &mut v.init {
-                            if replace_expr_slot(init, target, new) {
-                                hit = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                hit
-            }
-            Item::Param(p) => replace_expr_slot(&mut p.value, target, new),
-            Item::Assign { lhs, rhs, .. } => {
-                replace_expr_in_lvalue(lhs, target, new) || replace_expr_slot(rhs, target, new)
-            }
-            Item::Always { body, .. } | Item::Initial { body, .. } => {
-                replace_expr_in_stmt(body, target, new)
-            }
-            Item::Instance(inst) => {
-                let mut hit = false;
-                for c in inst.params.iter_mut().chain(inst.ports.iter_mut()) {
-                    if let Some(e) = &mut c.expr {
-                        if replace_expr_slot(e, target, new) {
-                            hit = true;
-                            break;
-                        }
-                    }
-                }
-                hit
-            }
-        };
-        if done {
-            return true;
-        }
-    }
-    false
-}
-
-fn replace_expr_slot(slot: &mut Expr, target: NodeId, new: &Expr) -> bool {
-    if slot.id() == target {
-        *slot = new.clone();
-        return true;
-    }
-    match slot {
-        Expr::Literal { .. } | Expr::Ident { .. } | Expr::Str { .. } => false,
-        Expr::Unary { arg, .. } => replace_expr_slot(arg, target, new),
-        Expr::Binary { lhs, rhs, .. } => {
-            replace_expr_slot(lhs, target, new) || replace_expr_slot(rhs, target, new)
-        }
-        Expr::Cond {
-            cond,
-            then_e,
-            else_e,
-            ..
-        } => {
-            replace_expr_slot(cond, target, new)
-                || replace_expr_slot(then_e, target, new)
-                || replace_expr_slot(else_e, target, new)
-        }
-        Expr::Index { index, .. } => replace_expr_slot(index, target, new),
-        Expr::Range { msb, lsb, .. } => {
-            replace_expr_slot(msb, target, new) || replace_expr_slot(lsb, target, new)
-        }
-        Expr::Concat { parts, .. } => parts.iter_mut().any(|p| replace_expr_slot(p, target, new)),
-        Expr::Repeat { count, parts, .. } => {
-            replace_expr_slot(count, target, new)
-                || parts.iter_mut().any(|p| replace_expr_slot(p, target, new))
-        }
-        Expr::SysCall { args, .. } => args.iter_mut().any(|a| replace_expr_slot(a, target, new)),
-    }
-}
-
-fn replace_expr_in_lvalue(lv: &mut LValue, target: NodeId, new: &Expr) -> bool {
-    match lv {
-        LValue::Ident { .. } => false,
-        LValue::Index { index, .. } => replace_expr_slot(index, target, new),
-        LValue::Range { msb, lsb, .. } => {
-            replace_expr_slot(msb, target, new) || replace_expr_slot(lsb, target, new)
-        }
-        LValue::Concat { parts, .. } => parts
-            .iter_mut()
-            .any(|p| replace_expr_in_lvalue(p, target, new)),
-    }
-}
-
-fn replace_expr_in_stmt(stmt: &mut Stmt, target: NodeId, new: &Expr) -> bool {
-    match stmt {
-        Stmt::Block { stmts, .. } => stmts
-            .iter_mut()
-            .any(|s| replace_expr_in_stmt(s, target, new)),
-        Stmt::If {
-            cond,
-            then_s,
-            else_s,
-            ..
-        } => {
-            replace_expr_slot(cond, target, new)
-                || replace_expr_in_stmt(then_s, target, new)
-                || else_s
-                    .as_mut()
-                    .is_some_and(|e| replace_expr_in_stmt(e, target, new))
-        }
-        Stmt::Case {
-            subject,
-            arms,
-            default,
-            ..
-        } => {
-            replace_expr_slot(subject, target, new)
-                || arms.iter_mut().any(|arm| {
-                    arm.labels
-                        .iter_mut()
-                        .any(|l| replace_expr_slot(l, target, new))
-                        || replace_expr_in_stmt(&mut arm.body, target, new)
-                })
-                || default
-                    .as_mut()
-                    .is_some_and(|d| replace_expr_in_stmt(d, target, new))
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            replace_expr_in_stmt(init, target, new)
-                || replace_expr_slot(cond, target, new)
-                || replace_expr_in_stmt(step, target, new)
-                || replace_expr_in_stmt(body, target, new)
-        }
-        Stmt::While { cond, body, .. } => {
-            replace_expr_slot(cond, target, new) || replace_expr_in_stmt(body, target, new)
-        }
-        Stmt::Repeat { count, body, .. } => {
-            replace_expr_slot(count, target, new) || replace_expr_in_stmt(body, target, new)
-        }
-        Stmt::Forever { body, .. } => replace_expr_in_stmt(body, target, new),
-        Stmt::Blocking {
-            lhs, delay, rhs, ..
-        }
-        | Stmt::NonBlocking {
-            lhs, delay, rhs, ..
-        } => {
-            replace_expr_in_lvalue(lhs, target, new)
-                || delay
-                    .as_mut()
-                    .is_some_and(|d| replace_expr_slot(d, target, new))
-                || replace_expr_slot(rhs, target, new)
-        }
-        Stmt::Delay { amount, body, .. } => {
-            replace_expr_slot(amount, target, new)
-                || body
-                    .as_mut()
-                    .is_some_and(|b| replace_expr_in_stmt(b, target, new))
-        }
-        Stmt::EventControl {
-            sensitivity, body, ..
-        } => {
-            let mut hit = false;
-            if let Sensitivity::List(events) = sensitivity {
-                for ev in events.iter_mut() {
-                    if replace_expr_slot(&mut ev.expr, target, new) {
-                        hit = true;
-                        break;
-                    }
-                }
-            }
-            hit || body
-                .as_mut()
-                .is_some_and(|b| replace_expr_in_stmt(b, target, new))
-        }
-        Stmt::Wait { cond, body, .. } => {
-            replace_expr_slot(cond, target, new)
-                || body
-                    .as_mut()
-                    .is_some_and(|b| replace_expr_in_stmt(b, target, new))
-        }
-        Stmt::SysCall { args, .. } => args.iter_mut().any(|a| replace_expr_slot(a, target, new)),
-        Stmt::EventTrigger { .. } | Stmt::Null { .. } => false,
-    }
+        _ => ControlFlow::Continue(()),
+    });
+    out
 }
 
 /// Inserts `new` immediately after the statement with id `anchor`, which
@@ -668,261 +541,37 @@ fn replace_expr_in_stmt(stmt: &mut Stmt, target: NodeId, new: &Expr) -> bool {
 ///
 /// Statements only occur inside `always`/`initial` processes, so a
 /// successful insertion is always into procedural code — the constraint
-/// CirFix's fix localization imposes (§3.6).
+/// CirFix's fix localization imposes (§3.6). A block that an edit put
+/// into a `for` header is not an insertion site.
 pub fn insert_stmt_after(module: &mut Module, anchor: NodeId, new: &Stmt) -> bool {
-    for item in &mut module.items {
-        if let Item::Always { body, .. } | Item::Initial { body, .. } = item {
-            if insert_after_rec(body, anchor, new) {
-                return true;
+    let mut for_headers = Vec::new();
+    walk_module_mut(module, &mut |n| {
+        match n {
+            NodeMut::Stmt(Stmt::For { init, step, .. }) => {
+                for_headers.extend(ids_in_stmt(init));
+                for_headers.extend(ids_in_stmt(step));
             }
+            NodeMut::Stmt(Stmt::Block { id, stmts, .. }) if !for_headers.contains(id) => {
+                if let Some(pos) = stmts.iter().position(|s| s.id() == anchor) {
+                    stmts.insert(pos + 1, new.clone());
+                    return ControlFlow::Break(());
+                }
+            }
+            _ => {}
         }
-    }
-    false
+        ControlFlow::Continue(())
+    })
 }
 
-fn insert_after_rec(stmt: &mut Stmt, anchor: NodeId, new: &Stmt) -> bool {
-    match stmt {
-        Stmt::Block { stmts, .. } => {
-            if let Some(pos) = stmts.iter().position(|s| s.id() == anchor) {
-                stmts.insert(pos + 1, new.clone());
-                return true;
-            }
-            stmts.iter_mut().any(|s| insert_after_rec(s, anchor, new))
-        }
-        Stmt::If { then_s, else_s, .. } => {
-            insert_after_rec(then_s, anchor, new)
-                || else_s
-                    .as_mut()
-                    .is_some_and(|e| insert_after_rec(e, anchor, new))
-        }
-        Stmt::Case { arms, default, .. } => {
-            arms.iter_mut()
-                .any(|arm| insert_after_rec(&mut arm.body, anchor, new))
-                || default
-                    .as_mut()
-                    .is_some_and(|d| insert_after_rec(d, anchor, new))
-        }
-        Stmt::For { body, .. }
-        | Stmt::While { body, .. }
-        | Stmt::Repeat { body, .. }
-        | Stmt::Forever { body, .. } => insert_after_rec(body, anchor, new),
-        Stmt::Delay { body, .. } | Stmt::EventControl { body, .. } | Stmt::Wait { body, .. } => {
-            body.as_mut()
-                .is_some_and(|b| insert_after_rec(b, anchor, new))
-        }
-        _ => false,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Renumbering.
-// ---------------------------------------------------------------------------
-
-/// Gives every node in a statement subtree a fresh id.
+/// Gives every node in a statement subtree a fresh id, in pre-order,
+/// sensitivity events included.
 pub fn renumber_stmt(stmt: &mut Stmt, ids: &mut NodeIdGen) {
-    match stmt {
-        Stmt::Block { id, stmts, .. } => {
-            *id = ids.fresh();
-            for s in stmts {
-                renumber_stmt(s, ids);
-            }
-        }
-        Stmt::If {
-            id,
-            cond,
-            then_s,
-            else_s,
-        } => {
-            *id = ids.fresh();
-            renumber_expr(cond, ids);
-            renumber_stmt(then_s, ids);
-            if let Some(e) = else_s {
-                renumber_stmt(e, ids);
-            }
-        }
-        Stmt::Case {
-            id,
-            subject,
-            arms,
-            default,
-            ..
-        } => {
-            *id = ids.fresh();
-            renumber_expr(subject, ids);
-            for arm in arms {
-                arm.id = ids.fresh();
-                for l in &mut arm.labels {
-                    renumber_expr(l, ids);
-                }
-                renumber_stmt(&mut arm.body, ids);
-            }
-            if let Some(d) = default {
-                renumber_stmt(d, ids);
-            }
-        }
-        Stmt::For {
-            id,
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            *id = ids.fresh();
-            renumber_stmt(init, ids);
-            renumber_expr(cond, ids);
-            renumber_stmt(step, ids);
-            renumber_stmt(body, ids);
-        }
-        Stmt::While { id, cond, body } => {
-            *id = ids.fresh();
-            renumber_expr(cond, ids);
-            renumber_stmt(body, ids);
-        }
-        Stmt::Repeat { id, count, body } => {
-            *id = ids.fresh();
-            renumber_expr(count, ids);
-            renumber_stmt(body, ids);
-        }
-        Stmt::Forever { id, body } => {
-            *id = ids.fresh();
-            renumber_stmt(body, ids);
-        }
-        Stmt::Blocking {
-            id,
-            lhs,
-            delay,
-            rhs,
-        }
-        | Stmt::NonBlocking {
-            id,
-            lhs,
-            delay,
-            rhs,
-        } => {
-            *id = ids.fresh();
-            renumber_lvalue(lhs, ids);
-            if let Some(d) = delay {
-                renumber_expr(d, ids);
-            }
-            renumber_expr(rhs, ids);
-        }
-        Stmt::Delay { id, amount, body } => {
-            *id = ids.fresh();
-            renumber_expr(amount, ids);
-            if let Some(b) = body {
-                renumber_stmt(b, ids);
-            }
-        }
-        Stmt::EventControl {
-            id,
-            sensitivity,
-            body,
-        } => {
-            *id = ids.fresh();
-            if let Sensitivity::List(events) = sensitivity {
-                for ev in events {
-                    ev.id = ids.fresh();
-                    renumber_expr(&mut ev.expr, ids);
-                }
-            }
-            if let Some(b) = body {
-                renumber_stmt(b, ids);
-            }
-        }
-        Stmt::Wait { id, cond, body } => {
-            *id = ids.fresh();
-            renumber_expr(cond, ids);
-            if let Some(b) = body {
-                renumber_stmt(b, ids);
-            }
-        }
-        Stmt::SysCall { id, args, .. } => {
-            *id = ids.fresh();
-            for a in args {
-                renumber_expr(a, ids);
-            }
-        }
-        Stmt::EventTrigger { id, .. } | Stmt::Null { id } => *id = ids.fresh(),
-    }
+    walk_stmt_mut(stmt, &mut |mut n| *n.id_mut() = ids.fresh());
 }
 
-/// Gives every node in an expression subtree a fresh id.
+/// Gives every node in an expression subtree a fresh id, in pre-order.
 pub fn renumber_expr(expr: &mut Expr, ids: &mut NodeIdGen) {
-    match expr {
-        Expr::Literal { id, .. } | Expr::Ident { id, .. } | Expr::Str { id, .. } => {
-            *id = ids.fresh()
-        }
-        Expr::Unary { id, arg, .. } => {
-            *id = ids.fresh();
-            renumber_expr(arg, ids);
-        }
-        Expr::Binary { id, lhs, rhs, .. } => {
-            *id = ids.fresh();
-            renumber_expr(lhs, ids);
-            renumber_expr(rhs, ids);
-        }
-        Expr::Cond {
-            id,
-            cond,
-            then_e,
-            else_e,
-        } => {
-            *id = ids.fresh();
-            renumber_expr(cond, ids);
-            renumber_expr(then_e, ids);
-            renumber_expr(else_e, ids);
-        }
-        Expr::Index { id, index, .. } => {
-            *id = ids.fresh();
-            renumber_expr(index, ids);
-        }
-        Expr::Range { id, msb, lsb, .. } => {
-            *id = ids.fresh();
-            renumber_expr(msb, ids);
-            renumber_expr(lsb, ids);
-        }
-        Expr::Concat { id, parts } => {
-            *id = ids.fresh();
-            for p in parts {
-                renumber_expr(p, ids);
-            }
-        }
-        Expr::Repeat { id, count, parts } => {
-            *id = ids.fresh();
-            renumber_expr(count, ids);
-            for p in parts {
-                renumber_expr(p, ids);
-            }
-        }
-        Expr::SysCall { id, args, .. } => {
-            *id = ids.fresh();
-            for a in args {
-                renumber_expr(a, ids);
-            }
-        }
-    }
-}
-
-/// Gives every node in an lvalue subtree a fresh id.
-pub fn renumber_lvalue(lv: &mut LValue, ids: &mut NodeIdGen) {
-    match lv {
-        LValue::Ident { id, .. } => *id = ids.fresh(),
-        LValue::Index { id, index, .. } => {
-            *id = ids.fresh();
-            renumber_expr(index, ids);
-        }
-        LValue::Range { id, msb, lsb, .. } => {
-            *id = ids.fresh();
-            renumber_expr(msb, ids);
-            renumber_expr(lsb, ids);
-        }
-        LValue::Concat { id, parts } => {
-            *id = ids.fresh();
-            for p in parts {
-                renumber_lvalue(p, ids);
-            }
-        }
-    }
+    walk_expr_mut(expr, &mut |mut n| *n.id_mut() = ids.fresh());
 }
 
 #[cfg(test)]
@@ -985,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn find_and_replace_stmt() {
+    fn find_and_edit_stmt() {
         let (mut m, mut g) = sample_module();
         let all: Vec<NodeId> = stmts_of_module(&m).iter().map(|s| s.id()).collect();
         // Find the If statement.
@@ -994,15 +643,15 @@ mod tests {
             .find(|id| matches!(find_stmt(&m, **id), Some(Stmt::If { .. })))
             .expect("module has an if");
         let replacement = Stmt::Null { id: g.fresh() };
-        assert!(replace_stmt(&mut m, if_id, &replacement));
+        assert!(edit_stmt(&mut m, if_id, |s| *s = replacement.clone()).is_some());
         assert!(find_stmt(&m, if_id).is_none());
         assert!(find_stmt(&m, replacement.id()).is_some());
-        // Replacing a missing id fails.
-        assert!(!replace_stmt(&mut m, 9999, &replacement));
+        // Editing a missing id does not run the edit.
+        assert_eq!(edit_stmt(&mut m, 9999, |_| unreachable!()), None::<()>);
     }
 
     #[test]
-    fn replace_expr_in_rhs() {
+    fn edit_expr_in_rhs() {
         let (mut m, mut g) = sample_module();
         // Find the literal 1.
         let lit_id = exprs_of_module(&m)
@@ -1011,8 +660,9 @@ mod tests {
             .map(|e| e.id())
             .expect("has literal");
         let two = Expr::literal_u64(&mut g, 2, 4);
-        assert!(replace_expr(&mut m, lit_id, &two));
-        let found = find_expr(&m, two.id()).expect("replaced");
+        let new_id = two.id();
+        assert!(edit_expr(&mut m, lit_id, |e| *e = two).is_some());
+        let found = find_expr(&m, new_id).expect("replaced");
         match found {
             Expr::Literal { value, .. } => assert_eq!(value.to_u64(), Some(2)),
             other => panic!("unexpected {other:?}"),
@@ -1046,6 +696,41 @@ mod tests {
     }
 
     #[test]
+    fn a_block_in_a_for_header_is_no_insertion_site() {
+        let mut g = NodeIdGen::new();
+        let block_of_null = |g: &mut NodeIdGen| {
+            let (block, null) = (g.fresh(), g.fresh());
+            let stmt = Stmt::Block {
+                id: block,
+                name: None,
+                stmts: vec![Stmt::Null { id: null }],
+            };
+            (stmt, null)
+        };
+        let (init, in_header) = block_of_null(&mut g);
+        let (body, in_body) = block_of_null(&mut g);
+        let body = Stmt::For {
+            id: g.fresh(),
+            init: Box::new(init),
+            cond: Expr::ident(&mut g, "c"),
+            step: Box::new(Stmt::Null { id: g.fresh() }),
+            body: Box::new(body),
+        };
+        let mut m = Module {
+            id: g.fresh(),
+            name: "m".into(),
+            ports: vec![],
+            items: vec![Item::Initial {
+                id: g.fresh(),
+                body,
+            }],
+        };
+        let new_stmt = Stmt::Null { id: g.fresh() };
+        assert!(!insert_stmt_after(&mut m, in_header, &new_stmt));
+        assert!(insert_stmt_after(&mut m, in_body, &new_stmt));
+    }
+
+    #[test]
     fn renumbering_gives_unique_fresh_ids() {
         let (m, g) = sample_module();
         let mut body = match &m.items[0] {
@@ -1060,6 +745,202 @@ mod tests {
         for id in &new_ids {
             assert!(!old_ids.contains(id), "fresh ids must not collide");
         }
+    }
+
+    /// A block holding every `Stmt`, `Expr` and `LValue` variant, all
+    /// numbered 0.
+    fn every_variant_stmt() -> Stmt {
+        use crate::expr::UnaryOp;
+        use crate::stmt::{CaseKind, EventExpr};
+        use cirfix_logic::{EdgeKind, LiteralBase, LogicVec};
+        let ident = |name: &str| Expr::Ident {
+            id: 0,
+            name: name.into(),
+        };
+        let lit = |v| Expr::Literal {
+            id: 0,
+            value: LogicVec::from_u64(v, 4),
+            base: LiteralBase::Decimal,
+            sized: true,
+        };
+        let var = |name: &str| LValue::Ident {
+            id: 0,
+            name: name.into(),
+        };
+        let blocking = |lhs, rhs| Stmt::Blocking {
+            id: 0,
+            lhs,
+            delay: None,
+            rhs,
+        };
+        let binary = |op, l, r| Expr::Binary {
+            id: 0,
+            op,
+            lhs: Box::new(l),
+            rhs: Box::new(r),
+        };
+        let event = |edge, name| EventExpr {
+            id: 0,
+            edge,
+            expr: ident(name),
+        };
+        Stmt::Block {
+            id: 0,
+            name: None,
+            stmts: vec![
+                Stmt::If {
+                    id: 0,
+                    cond: Expr::Unary {
+                        id: 0,
+                        op: UnaryOp::LogicNot,
+                        arg: Box::new(ident("a")),
+                    },
+                    then_s: Box::new(blocking(
+                        var("x"),
+                        binary(BinaryOp::Add, ident("a"), lit(1)),
+                    )),
+                    else_s: Some(Box::new(Stmt::Null { id: 0 })),
+                },
+                Stmt::Case {
+                    id: 0,
+                    kind: CaseKind::Case,
+                    subject: ident("s"),
+                    arms: vec![CaseArm {
+                        id: 0,
+                        labels: vec![lit(1), lit(2)],
+                        body: blocking(
+                            LValue::Index {
+                                id: 0,
+                                base: "q".into(),
+                                index: ident("i"),
+                            },
+                            Expr::Cond {
+                                id: 0,
+                                cond: Box::new(ident("c")),
+                                then_e: Box::new(ident("a")),
+                                else_e: Box::new(ident("b")),
+                            },
+                        ),
+                    }],
+                    default: Some(Box::new(Stmt::Null { id: 0 })),
+                },
+                Stmt::For {
+                    id: 0,
+                    init: Box::new(blocking(var("i"), lit(0))),
+                    cond: binary(BinaryOp::Lt, ident("i"), lit(4)),
+                    step: Box::new(blocking(
+                        var("i"),
+                        binary(BinaryOp::Add, ident("i"), lit(1)),
+                    )),
+                    body: Box::new(Stmt::NonBlocking {
+                        id: 0,
+                        lhs: LValue::Range {
+                            id: 0,
+                            base: "r".into(),
+                            msb: lit(3),
+                            lsb: lit(0),
+                        },
+                        delay: Some(lit(2)),
+                        rhs: Expr::Index {
+                            id: 0,
+                            base: "w".into(),
+                            index: Box::new(ident("i")),
+                        },
+                    }),
+                },
+                Stmt::While {
+                    id: 0,
+                    cond: Expr::Range {
+                        id: 0,
+                        base: "w".into(),
+                        msb: Box::new(lit(1)),
+                        lsb: Box::new(lit(0)),
+                    },
+                    body: Box::new(blocking(
+                        LValue::Concat {
+                            id: 0,
+                            parts: vec![var("c1"), var("c2")],
+                        },
+                        Expr::Concat {
+                            id: 0,
+                            parts: vec![ident("a"), ident("b")],
+                        },
+                    )),
+                },
+                Stmt::Repeat {
+                    id: 0,
+                    count: lit(2),
+                    body: Box::new(blocking(
+                        var("y"),
+                        Expr::Repeat {
+                            id: 0,
+                            count: Box::new(lit(2)),
+                            parts: vec![ident("a")],
+                        },
+                    )),
+                },
+                Stmt::Forever {
+                    id: 0,
+                    body: Box::new(Stmt::Delay {
+                        id: 0,
+                        amount: lit(5),
+                        body: Some(Box::new(Stmt::Wait {
+                            id: 0,
+                            cond: ident("c"),
+                            body: None,
+                        })),
+                    }),
+                },
+                Stmt::EventControl {
+                    id: 0,
+                    sensitivity: Sensitivity::List(vec![
+                        event(EdgeKind::Pos, "clk"),
+                        event(EdgeKind::Neg, "rst"),
+                    ]),
+                    body: Some(Box::new(Stmt::SysCall {
+                        id: 0,
+                        name: "display".into(),
+                        args: vec![
+                            Expr::Str {
+                                id: 0,
+                                value: "t=%d".into(),
+                            },
+                            Expr::SysCall {
+                                id: 0,
+                                name: "time".into(),
+                                args: vec![],
+                            },
+                        ],
+                    })),
+                },
+                Stmt::EventTrigger {
+                    id: 0,
+                    name: "ev".into(),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn renumbering_draws_ids_in_pre_order_including_events() {
+        let mut stmt = every_variant_stmt();
+        renumber_stmt(&mut stmt, &mut NodeIdGen::starting_at(100));
+        // The read-only walk skips sensitivity events; their ids are the
+        // gaps (166, 168) in this otherwise unbroken pre-order run.
+        let walked: Vec<NodeId> = (100..166).chain([167]).chain(169..174).collect();
+        assert_eq!(ids_in_stmt(&stmt), walked);
+        let Stmt::Block { stmts, .. } = &stmt else {
+            unreachable!()
+        };
+        let Stmt::EventControl {
+            sensitivity: Sensitivity::List(events),
+            ..
+        } = &stmts[6]
+        else {
+            unreachable!()
+        };
+        let event_ids: Vec<NodeId> = events.iter().map(|e| e.id).collect();
+        assert_eq!(event_ids, [166, 168]);
     }
 
     #[test]

@@ -177,14 +177,6 @@ pub fn apply_patch(
     (file, stats)
 }
 
-fn design_mods<'a>(
-    file: &'a SourceFile,
-    design_modules: &[String],
-) -> impl Iterator<Item = &'a Module> {
-    let names: Vec<String> = design_modules.to_vec();
-    file.modules.iter().filter(move |m| names.contains(&m.name))
-}
-
 fn apply_edit(
     file: &mut SourceFile,
     design_modules: &[String],
@@ -193,233 +185,261 @@ fn apply_edit(
 ) -> bool {
     match edit {
         Edit::ReplaceStmt { target, donor } => {
-            let Some(mut donor_stmt) = find_stmt_anywhere(file, design_modules, *donor) else {
+            let Some(mut donor) = find_stmt_anywhere(file, design_modules, *donor) else {
                 return false;
             };
-            visit::renumber_stmt(&mut donor_stmt, ids);
-            replace_stmt_anywhere(file, design_modules, *target, &donor_stmt)
+            visit::renumber_stmt(&mut donor, ids);
+            edit_stmt(file, design_modules, *target, |s| {
+                *s = donor;
+                true
+            })
         }
         Edit::ReplaceExpr { target, donor } => {
-            let Some(mut donor_expr) = find_expr_anywhere(file, design_modules, *donor) else {
+            let Some(mut donor) = find_expr_anywhere(file, design_modules, *donor) else {
                 return false;
             };
-            visit::renumber_expr(&mut donor_expr, ids);
-            replace_expr_anywhere(file, design_modules, *target, &donor_expr)
+            visit::renumber_expr(&mut donor, ids);
+            edit_expr(file, design_modules, *target, |e| {
+                *e = donor;
+                true
+            })
         }
         Edit::InsertStmt { donor, after } => {
-            let Some(mut donor_stmt) = find_stmt_anywhere(file, design_modules, *donor) else {
+            let Some(mut donor) = find_stmt_anywhere(file, design_modules, *donor) else {
                 return false;
             };
-            visit::renumber_stmt(&mut donor_stmt, ids);
-            for name in design_modules {
-                if let Some(m) = file.module_mut(name) {
-                    if visit::insert_stmt_after(m, *after, &donor_stmt) {
-                        return true;
-                    }
-                }
-            }
-            false
+            visit::renumber_stmt(&mut donor, ids);
+            design_modules.iter().any(|name| {
+                file.module_mut(name)
+                    .is_some_and(|m| visit::insert_stmt_after(m, *after, &donor))
+            })
         }
         Edit::DeleteStmt { target } => {
             let null = Stmt::Null { id: ids.fresh() };
-            replace_stmt_anywhere(file, design_modules, *target, &null)
+            edit_stmt(file, design_modules, *target, |s| {
+                *s = null;
+                true
+            })
         }
-        Edit::NegateCond { target } => {
-            let Some(stmt) = find_stmt_anywhere(file, design_modules, *target) else {
-                return false;
-            };
-            let negated = match stmt {
-                Stmt::If {
+        Edit::NegateCond { target } => edit_stmt(file, design_modules, *target, |s| match s {
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } => {
+                let id = ids.fresh();
+                wrap(cond, |arg| Expr::Unary {
                     id,
-                    cond,
-                    then_s,
-                    else_s,
-                } => Stmt::If {
-                    id,
-                    cond: Expr::Unary {
-                        id: ids.fresh(),
-                        op: UnaryOp::LogicNot,
-                        arg: Box::new(cond),
-                    },
-                    then_s,
-                    else_s,
-                },
-                Stmt::While { id, cond, body } => Stmt::While {
-                    id,
-                    cond: Expr::Unary {
-                        id: ids.fresh(),
-                        op: UnaryOp::LogicNot,
-                        arg: Box::new(cond),
-                    },
-                    body,
-                },
-                _ => return false,
-            };
-            replace_stmt_anywhere(file, design_modules, *target, &negated)
-        }
+                    op: UnaryOp::LogicNot,
+                    arg,
+                });
+                true
+            }
+            _ => false,
+        }),
         Edit::SetSensitivity {
             control,
             kind,
             signal,
-        } => {
-            let Some(stmt) = find_stmt_anywhere(file, design_modules, *control) else {
+        } => edit_stmt(file, design_modules, *control, |s| {
+            let Stmt::EventControl { sensitivity, .. } = s else {
                 return false;
             };
-            let Stmt::EventControl { id, body, .. } = stmt else {
-                return false;
-            };
-            let sensitivity = match kind {
-                SensTemplate::AnyChange => Sensitivity::Star,
-                SensTemplate::Posedge | SensTemplate::Negedge | SensTemplate::Level => {
-                    let Some(name) = signal else { return false };
-                    let edge = match kind {
-                        SensTemplate::Posedge => EdgeKind::Pos,
-                        SensTemplate::Negedge => EdgeKind::Neg,
-                        _ => EdgeKind::Any,
-                    };
-                    Sensitivity::List(vec![EventExpr {
-                        id: ids.fresh(),
-                        edge,
-                        expr: Expr::Ident {
-                            id: ids.fresh(),
-                            name: name.clone(),
-                        },
-                    }])
+            let edge = match kind {
+                SensTemplate::AnyChange => {
+                    *sensitivity = Sensitivity::Star;
+                    return true;
                 }
+                SensTemplate::Posedge => EdgeKind::Pos,
+                SensTemplate::Negedge => EdgeKind::Neg,
+                SensTemplate::Level => EdgeKind::Any,
             };
-            let new_stmt = Stmt::EventControl {
-                id,
-                sensitivity,
-                body,
-            };
-            replace_stmt_anywhere(file, design_modules, *control, &new_stmt)
-        }
+            let Some(name) = signal else { return false };
+            *sensitivity = Sensitivity::List(vec![EventExpr {
+                id: ids.fresh(),
+                edge,
+                expr: Expr::Ident {
+                    id: ids.fresh(),
+                    name: name.clone(),
+                },
+            }]);
+            true
+        }),
         Edit::BlockingToNonBlocking { target } => {
-            let Some(stmt) = find_stmt_anywhere(file, design_modules, *target) else {
-                return false;
-            };
-            let Stmt::Blocking {
-                id,
-                lhs,
-                delay,
-                rhs,
-            } = stmt
-            else {
-                return false;
-            };
-            let new_stmt = Stmt::NonBlocking {
-                id,
-                lhs,
-                delay,
-                rhs,
-            };
-            replace_stmt_anywhere(file, design_modules, *target, &new_stmt)
+            edit_stmt(file, design_modules, *target, |s| set_blocking(s, false))
         }
         Edit::NonBlockingToBlocking { target } => {
-            let Some(stmt) = find_stmt_anywhere(file, design_modules, *target) else {
-                return false;
-            };
-            let Stmt::NonBlocking {
-                id,
-                lhs,
-                delay,
-                rhs,
-            } = stmt
-            else {
-                return false;
-            };
-            let new_stmt = Stmt::Blocking {
-                id,
-                lhs,
-                delay,
-                rhs,
-            };
-            replace_stmt_anywhere(file, design_modules, *target, &new_stmt)
+            edit_stmt(file, design_modules, *target, |s| set_blocking(s, true))
         }
         Edit::ReplaceSensitivity { target, donor } => {
-            let Some(Stmt::EventControl {
-                sensitivity: donor_sens,
-                ..
-            }) = find_stmt_anywhere(file, design_modules, *donor)
+            let Some(Stmt::EventControl { sensitivity, .. }) =
+                lookup(file, design_modules, |m| visit::find_stmt(m, *donor))
             else {
                 return false;
             };
-            let Some(Stmt::EventControl { id, body, .. }) =
-                find_stmt_anywhere(file, design_modules, *target)
-            else {
-                return false;
-            };
-            let mut sensitivity = donor_sens;
-            if let Sensitivity::List(events) = &mut sensitivity {
-                for ev in events.iter_mut() {
-                    ev.id = ids.fresh();
-                    cirfix_ast::visit::renumber_expr(&mut ev.expr, ids);
+            let mut donor = sensitivity.clone();
+            edit_stmt(file, design_modules, *target, |s| {
+                let Stmt::EventControl { sensitivity, .. } = s else {
+                    return false;
+                };
+                if let Sensitivity::List(events) = &mut donor {
+                    for ev in events.iter_mut() {
+                        ev.id = ids.fresh();
+                        visit::renumber_expr(&mut ev.expr, ids);
+                    }
                 }
-            }
-            let new_stmt = Stmt::EventControl {
-                id,
-                sensitivity,
-                body,
-            };
-            replace_stmt_anywhere(file, design_modules, *target, &new_stmt)
+                *sensitivity = donor;
+                true
+            })
         }
-        Edit::IncrementExpr { target } => adjust_expr(file, design_modules, *target, ids, true),
-        Edit::DecrementExpr { target } => adjust_expr(file, design_modules, *target, ids, false),
+        Edit::IncrementExpr { target } => {
+            edit_expr(file, design_modules, *target, |e| adjust_expr(e, ids, true))
+        }
+        Edit::DecrementExpr { target } => edit_expr(file, design_modules, *target, |e| {
+            adjust_expr(e, ids, false)
+        }),
     }
+}
+
+/// Replaces `expr` by `wrap` of the old expression.
+fn wrap(expr: &mut Expr, wrap: impl FnOnce(Box<Expr>) -> Expr) {
+    let placeholder = Expr::Str {
+        id: 0,
+        value: String::new(),
+    };
+    let old = std::mem::replace(expr, placeholder);
+    *expr = wrap(Box::new(old));
+}
+
+/// Turns an assignment into a blocking (`true`) or non-blocking one;
+/// `false` unless `stmt` is an assignment of the other kind.
+fn set_blocking(stmt: &mut Stmt, blocking: bool) -> bool {
+    let (swapped, new) = match std::mem::replace(stmt, Stmt::Null { id: 0 }) {
+        Stmt::NonBlocking {
+            id,
+            lhs,
+            delay,
+            rhs,
+        } if blocking => (
+            true,
+            Stmt::Blocking {
+                id,
+                lhs,
+                delay,
+                rhs,
+            },
+        ),
+        Stmt::Blocking {
+            id,
+            lhs,
+            delay,
+            rhs,
+        } if !blocking => (
+            true,
+            Stmt::NonBlocking {
+                id,
+                lhs,
+                delay,
+                rhs,
+            },
+        ),
+        other => (false, other),
+    };
+    *stmt = new;
+    swapped
 }
 
 /// Increments or decrements an expression: literals are folded in place
 /// (keeping their width and id), other expressions are wrapped in `± 1`.
-fn adjust_expr(
+fn adjust_expr(expr: &mut Expr, ids: &mut NodeIdGen, increment: bool) -> bool {
+    if let Expr::Literal { value, .. } = expr {
+        let one = LogicVec::from_u64(1, value.width());
+        let adjusted = if increment {
+            value.add(&one)
+        } else {
+            value.sub(&one)
+        };
+        *value = adjusted.resized(value.width());
+        return true;
+    }
+    let one = Expr::Literal {
+        id: ids.fresh(),
+        value: LogicVec::from_u64(1, 32),
+        base: LiteralBase::Decimal,
+        sized: false,
+    };
+    let id = ids.fresh();
+    let op = if increment {
+        BinaryOp::Add
+    } else {
+        BinaryOp::Sub
+    };
+    wrap(expr, |lhs| Expr::Binary {
+        id,
+        op,
+        lhs,
+        rhs: Box::new(one),
+    });
+    true
+}
+
+/// Runs `edit` on statement `target` where it sits in the design modules
+/// and returns its verdict. A target that exists only outside them (the
+/// testbench) is edited on a throwaway copy: the edit draws the fresh
+/// ids it would draw in place, changes nothing, and counts as skipped.
+fn edit_stmt(
     file: &mut SourceFile,
     design_modules: &[String],
     target: NodeId,
-    ids: &mut NodeIdGen,
-    increment: bool,
+    edit: impl FnOnce(&mut Stmt) -> bool,
 ) -> bool {
-    let Some(expr) = find_expr_anywhere(file, design_modules, target) else {
-        return false;
-    };
-    let new_expr = match &expr {
-        Expr::Literal {
-            id,
-            value,
-            base,
-            sized,
-        } => {
-            let one = LogicVec::from_u64(1, value.width());
-            let new_value = if increment {
-                value.add(&one)
-            } else {
-                value.sub(&one)
-            };
-            Expr::Literal {
-                id: *id,
-                value: new_value.resized(value.width()),
-                base: *base,
-                sized: *sized,
-            }
+    let mut edit = Some(edit);
+    for name in design_modules {
+        let Some(m) = file.module_mut(name) else {
+            continue;
+        };
+        if let Some(applied) = visit::edit_stmt(m, target, |s| edit.take().is_some_and(|e| e(s))) {
+            return applied;
         }
-        other => {
-            let one = Expr::Literal {
-                id: ids.fresh(),
-                value: LogicVec::from_u64(1, 32),
-                base: LiteralBase::Decimal,
-                sized: false,
-            };
-            Expr::Binary {
-                id: ids.fresh(),
-                op: if increment {
-                    BinaryOp::Add
-                } else {
-                    BinaryOp::Sub
-                },
-                lhs: Box::new((*other).clone()),
-                rhs: Box::new(one),
-            }
+    }
+    if let (Some(edit), Some(mut copy)) = (edit, find_stmt_anywhere(file, design_modules, target)) {
+        edit(&mut copy);
+    }
+    false
+}
+
+/// [`edit_stmt`] for expressions.
+fn edit_expr(
+    file: &mut SourceFile,
+    design_modules: &[String],
+    target: NodeId,
+    edit: impl FnOnce(&mut Expr) -> bool,
+) -> bool {
+    let mut edit = Some(edit);
+    for name in design_modules {
+        let Some(m) = file.module_mut(name) else {
+            continue;
+        };
+        if let Some(applied) = visit::edit_expr(m, target, |e| edit.take().is_some_and(|f| f(e))) {
+            return applied;
         }
-    };
-    replace_expr_anywhere(file, design_modules, target, &new_expr)
+    }
+    if let (Some(edit), Some(mut copy)) = (edit, find_expr_anywhere(file, design_modules, target)) {
+        edit(&mut copy);
+    }
+    false
+}
+
+/// The first node `find` returns, searching the design modules first and
+/// then the rest of the file, each in file order.
+fn lookup<'a, T>(
+    file: &'a SourceFile,
+    design_modules: &[String],
+    find: impl Fn(&'a Module) -> Option<&'a T>,
+) -> Option<&'a T> {
+    let in_design = |m: &&Module| design_modules.contains(&m.name);
+    let rest = file.modules.iter().filter(|m| !in_design(m));
+    file.modules
+        .iter()
+        .filter(in_design)
+        .chain(rest)
+        .find_map(find)
 }
 
 /// Finds and clones a statement by id, searching the design modules
@@ -430,21 +450,7 @@ pub fn find_stmt_anywhere(
     design_modules: &[String],
     id: NodeId,
 ) -> Option<Stmt> {
-    for m in design_mods(file, design_modules) {
-        if let Some(s) = visit::find_stmt(m, id) {
-            return Some(s.clone());
-        }
-    }
-    for m in file
-        .modules
-        .iter()
-        .filter(|m| !design_modules.contains(&m.name))
-    {
-        if let Some(s) = visit::find_stmt(m, id) {
-            return Some(s.clone());
-        }
-    }
-    None
+    lookup(file, design_modules, |m| visit::find_stmt(m, id)).cloned()
 }
 
 /// Finds and clones an expression by id; search order as in
@@ -454,53 +460,7 @@ pub fn find_expr_anywhere(
     design_modules: &[String],
     id: NodeId,
 ) -> Option<Expr> {
-    for m in design_mods(file, design_modules) {
-        if let Some(e) = visit::find_expr(m, id) {
-            return Some(e.clone());
-        }
-    }
-    for m in file
-        .modules
-        .iter()
-        .filter(|m| !design_modules.contains(&m.name))
-    {
-        if let Some(e) = visit::find_expr(m, id) {
-            return Some(e.clone());
-        }
-    }
-    None
-}
-
-fn replace_stmt_anywhere(
-    file: &mut SourceFile,
-    design_modules: &[String],
-    target: NodeId,
-    new: &Stmt,
-) -> bool {
-    for name in design_modules {
-        if let Some(m) = file.module_mut(name) {
-            if visit::replace_stmt(m, target, new) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-fn replace_expr_anywhere(
-    file: &mut SourceFile,
-    design_modules: &[String],
-    target: NodeId,
-    new: &Expr,
-) -> bool {
-    for name in design_modules {
-        if let Some(m) = file.module_mut(name) {
-            if visit::replace_expr(m, target, new) {
-                return true;
-            }
-        }
-    }
-    false
+    lookup(file, design_modules, |m| visit::find_expr(m, id)).cloned()
 }
 
 #[cfg(test)]

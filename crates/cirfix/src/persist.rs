@@ -470,7 +470,8 @@ pub fn evaluation_from_json(v: &JsonValue) -> Result<Evaluation, String> {
 // ---------------------------------------------------------------------------
 // Result codec (canonical, timing-free — for byte-level run comparison)
 
-fn f64_array_bits(xs: &[f64]) -> JsonValue {
+/// Floats as their exact bit patterns (results and checkpoints).
+pub(crate) fn f64_array_bits(xs: &[f64]) -> JsonValue {
     JsonValue::Array(xs.iter().map(|x| JsonValue::Uint(x.to_bits())).collect())
 }
 

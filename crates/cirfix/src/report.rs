@@ -162,12 +162,7 @@ impl RunReport {
     /// [`RunReport::malformed_lines`] rather than aborting the fold.
     /// Unknown event types are ignored (traces are allowed to grow new
     /// event kinds).
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; the `Result` is kept so future callers can
-    /// surface I/O-level failures without changing every call site.
-    pub fn from_trace(text: &str) -> Result<RunReport, String> {
+    pub fn from_trace(text: &str) -> RunReport {
         let mut r = RunReport {
             source: "trace".to_string(),
             ..RunReport::default()
@@ -272,7 +267,7 @@ impl RunReport {
             hist.sort_unstable();
             r.eval_latency = Some((hist_total, hist));
         }
-        Ok(r)
+        r
     }
 
     /// Folds a persisted session log (as loaded by
@@ -767,7 +762,7 @@ mod tests {
 
     #[test]
     fn folds_a_trace() {
-        let r = RunReport::from_trace(TRACE).expect("folds");
+        let r = RunReport::from_trace(TRACE);
         assert_eq!(r.events, 11);
         assert_eq!(r.generations.len(), 1);
         assert_eq!(r.candidates, 3);
@@ -792,8 +787,8 @@ mod tests {
 
     #[test]
     fn report_is_deterministic_and_json_parses() {
-        let r = RunReport::from_trace(TRACE).expect("folds");
-        assert_eq!(r.render(), RunReport::from_trace(TRACE).unwrap().render());
+        let r = RunReport::from_trace(TRACE);
+        assert_eq!(r.render(), RunReport::from_trace(TRACE).render());
         let json = r.to_json();
         let parsed = parse_json(&json).expect("report JSON parses");
         assert_eq!(field_u64(&parsed, "candidates"), Some(3));
@@ -812,7 +807,7 @@ mod tests {
             r#"{"type":"heartbeat","status":"don"#,
             "\n",
         );
-        let r = RunReport::from_trace(torn).expect("torn trace still folds");
+        let r = RunReport::from_trace(torn);
         assert_eq!(r.malformed_lines, 2);
         assert_eq!(r.events, 2, "valid lines still counted");
         assert_eq!(r.status.as_deref(), Some("done"));
@@ -825,14 +820,14 @@ mod tests {
         let parsed = parse_json(&json).expect("report JSON parses");
         assert_eq!(field_u64(&parsed, "malformed_lines"), Some(2));
         // A clean trace reports zero and stays quiet in the rendering.
-        let clean = RunReport::from_trace(TRACE).unwrap();
+        let clean = RunReport::from_trace(TRACE);
         assert_eq!(clean.malformed_lines, 0);
         assert!(!clean.render().contains("malformed"));
     }
 
     #[test]
     fn unknown_event_types_are_ignored() {
-        let r = RunReport::from_trace("{\"type\":\"future_thing\",\"x\":1}\n").expect("folds");
+        let r = RunReport::from_trace("{\"type\":\"future_thing\",\"x\":1}\n");
         assert_eq!(r.events, 1);
         assert_eq!(r.candidates, 0);
     }

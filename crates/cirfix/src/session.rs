@@ -36,8 +36,8 @@ use crate::faults::FaultInjector;
 use crate::oracle::RepairProblem;
 use crate::patch::Patch;
 use crate::persist::{
-    evaluation_from_json, evaluation_to_json, patch_from_json, patch_to_json, problem_digest,
-    session_digest, totals_from_json, totals_to_json,
+    evaluation_from_json, evaluation_to_json, f64_array_bits, patch_from_json, patch_to_json,
+    problem_digest, session_digest, totals_from_json, totals_to_json,
 };
 use crate::repair::{RepairConfig, RepairResult, RepairStatus, Repairer, RunTotals};
 
@@ -303,10 +303,6 @@ pub struct Checkpoint {
     pub found: Option<Patch>,
 }
 
-fn f64_bits_array(xs: &[f64]) -> JsonValue {
-    JsonValue::Array(xs.iter().map(|x| JsonValue::Uint(x.to_bits())).collect())
-}
-
 fn f64_bits_array_from(v: &JsonValue, key: &str) -> Result<Vec<f64>, SessionError> {
     match field(v, key) {
         Some(JsonValue::Array(items)) => items
@@ -447,8 +443,8 @@ impl SessionRecorder {
             ("busy_nanos", JsonValue::Uint(cp.busy.as_nanos() as u64)),
             ("best_patch", patch_to_json(&cp.best_patch)),
             ("best_bits", JsonValue::Uint(cp.best_score.to_bits())),
-            ("history_bits", f64_bits_array(&cp.history)),
-            ("improvement_bits", f64_bits_array(&cp.improvement_steps)),
+            ("history_bits", f64_array_bits(&cp.history)),
+            ("improvement_bits", f64_array_bits(&cp.improvement_steps)),
             (
                 "population",
                 JsonValue::Array(cp.population.iter().map(patch_to_json).collect()),

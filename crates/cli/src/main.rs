@@ -114,9 +114,7 @@ use cirfix_serve::conf::{self, Config, ConfigError};
 use cirfix_serve::{Client, Request, ServeAddr, ServeOpts};
 use cirfix_sim::{ProbeSpec, SimConfig};
 use cirfix_store::{field, field_str};
-use cirfix_telemetry::{
-    FanoutSink, JsonLinesSink, JsonValue, SummarySink, TelemetrySink, TimingFreeSink,
-};
+use cirfix_telemetry::{FanoutSink, JsonValue, SummarySink, TelemetrySink};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -208,23 +206,7 @@ struct Telemetry {
 
 fn build_telemetry(config: &Config) -> Result<Telemetry, Box<dyn std::error::Error>> {
     let mut sinks: Vec<Box<dyn TelemetrySink>> = Vec::new();
-    if let Ok(path) = config.required("trace_out") {
-        let sink = JsonLinesSink::create(Path::new(path))
-            .map_err(|e| ConfigError(format!("cannot open {path}: {e}")))?;
-        match config.string_or("trace_timing", "wall").as_str() {
-            "wall" => sinks.push(Box::new(sink)),
-            // Timing-free mode: zero every duration/throughput field
-            // and drop histograms, so the trace bytes depend only on
-            // the (deterministic) search, not the clock or `--jobs`.
-            "off" => sinks.push(Box::new(TimingFreeSink::new(sink))),
-            other => {
-                return Err(ConfigError(format!(
-                    "trace_timing must be `wall` or `off`, got `{other}`"
-                ))
-                .into())
-            }
-        }
-    }
+    sinks.extend(conf::trace_sink(config)?);
     let mut summary = None;
     if matches!(
         config.string_or("metrics", "false").as_str(),
@@ -772,7 +754,7 @@ fn cmd_report(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         let text = std::fs::read_to_string(path)
             .map_err(|e| ConfigError(format!("cannot read {}: {e}", path.display())))?;
-        cirfix::RunReport::from_trace(&text)?
+        cirfix::RunReport::from_trace(&text)
     };
     if json {
         println!("{}", report.to_json());

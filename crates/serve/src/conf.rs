@@ -20,6 +20,7 @@ use cirfix::{
 };
 use cirfix_ast::SourceFile;
 use cirfix_sim::{ProbeSpec, SimConfig};
+use cirfix_telemetry::{JsonLinesSink, TelemetrySink, TimingFreeSink};
 
 /// A parsed repair configuration file.
 ///
@@ -376,6 +377,30 @@ pub fn build_problem(config: &Config) -> Result<RepairProblem, ConfigError> {
         oracle,
         sim,
     })
+}
+
+/// The trace sink `trace_out` asks for, if any: a JSON-lines file,
+/// wrapped in [`TimingFreeSink`] under `trace_timing = off` so the
+/// trace bytes depend only on the deterministic search, not on the
+/// clock or `--jobs`.
+///
+/// # Errors
+///
+/// An unopenable `trace_out` path or a `trace_timing` other than
+/// `wall`/`off`.
+pub fn trace_sink(config: &Config) -> Result<Option<Box<dyn TelemetrySink>>, ConfigError> {
+    let Ok(path) = config.required("trace_out") else {
+        return Ok(None);
+    };
+    let sink = JsonLinesSink::create(Path::new(path))
+        .map_err(|e| ConfigError(format!("cannot open {path}: {e}")))?;
+    match config.string_or("trace_timing", "wall").as_str() {
+        "wall" => Ok(Some(Box::new(sink))),
+        "off" => Ok(Some(Box::new(TimingFreeSink::new(sink)))),
+        other => Err(ConfigError(format!(
+            "trace_timing must be `wall` or `off`, got `{other}`"
+        ))),
+    }
 }
 
 /// Builds the search parameters from a config (everything except the

@@ -2,11 +2,9 @@
 
 //! Zero-dependency observability for the repair pipeline.
 //!
-//! The crate provides three layers:
+//! The crate provides four layers:
 //!
-//! * **Primitives** — [`Span`] wall-clock timers and atomic
-//!   [`Counter`]/[`Gauge`] registries ([`MetricsRegistry`]), safe to
-//!   bump from multiple threads.
+//! * **Spans** — [`Span`] wall-clock timers that report on drop.
 //! * **Typed events** — [`Event`] and its payloads
 //!   ([`GenerationStats`], [`CandidateEvent`], [`FaultLocEvent`],
 //!   [`SimStats`], [`SpanEvent`], [`PhaseEvent`], [`HeartbeatEvent`],
@@ -30,20 +28,20 @@
 
 mod event;
 mod json;
-mod metrics;
 mod observer;
 mod profiler;
 mod sink;
+mod span;
 
 pub use event::{
     CandidateEvent, EvalOutcomeEvent, Event, FaultLocEvent, GenerationStats, HeartbeatEvent,
     HistogramEvent, LintEvent, MineEvent, PhaseEvent, SimStats, SpanEvent, StoreEvent,
 };
 pub use json::{field, field_f64, field_str, field_u64, json_f64, parse_json, JsonValue};
-pub use metrics::{Counter, Gauge, MetricsRegistry, Span};
 pub use observer::Observer;
 pub use profiler::{Phase, PhaseGuard, Profiler};
 pub use sink::{
     FanoutSink, JsonLinesSink, NullSink, SummarySink, TaggedJsonLinesSink, TelemetrySink,
     TimingFreeSink,
 };
+pub use span::Span;

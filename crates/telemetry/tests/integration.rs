@@ -1,14 +1,12 @@
-//! Cross-cutting telemetry tests: atomic counters under thread fan-out,
-//! span nesting, observer sink swapping, and a golden-file check of the
-//! summary report format.
+//! Cross-cutting telemetry tests: span nesting, observer sink swapping,
+//! and a golden-file check of the summary report format.
 
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 use cirfix_telemetry::{
-    CandidateEvent, Counter, Event, FanoutSink, FaultLocEvent, GenerationStats, HeartbeatEvent,
-    HistogramEvent, JsonLinesSink, MetricsRegistry, NullSink, Observer, PhaseEvent, SimStats, Span,
-    SpanEvent, SummarySink, TelemetrySink, TimingFreeSink,
+    CandidateEvent, Event, FanoutSink, FaultLocEvent, GenerationStats, HeartbeatEvent,
+    HistogramEvent, JsonLinesSink, NullSink, Observer, PhaseEvent, SimStats, Span, SpanEvent,
+    SummarySink, TelemetrySink, TimingFreeSink,
 };
 
 /// A sink that stores every event for later inspection.
@@ -35,52 +33,6 @@ impl TelemetrySink for RecordingSink {
     fn record(&self, event: &Event) {
         self.events.lock().unwrap().push(event.clone());
     }
-}
-
-#[test]
-fn counters_are_exact_under_thread_fanout() {
-    let registry = Arc::new(MetricsRegistry::new());
-    const THREADS: usize = 8;
-    const PER_THREAD: u64 = 10_000;
-
-    let handles: Vec<_> = (0..THREADS)
-        .map(|_| {
-            let evals: Arc<Counter> = registry.counter("fitness_evals");
-            thread::spawn(move || {
-                for _ in 0..PER_THREAD {
-                    evals.inc();
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-
-    assert_eq!(
-        registry.counter("fitness_evals").get(),
-        THREADS as u64 * PER_THREAD,
-        "no increments may be lost across threads"
-    );
-    assert_eq!(
-        registry.counter_values(),
-        vec![("fitness_evals".to_string(), THREADS as u64 * PER_THREAD)]
-    );
-}
-
-#[test]
-fn gauge_peak_tracking_is_monotone_across_threads() {
-    let registry = Arc::new(MetricsRegistry::new());
-    let handles: Vec<_> = (1..=16i64)
-        .map(|v| {
-            let peak = registry.gauge("queue_peak");
-            thread::spawn(move || peak.max_with(v))
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    assert_eq!(registry.gauge("queue_peak").get(), 16);
 }
 
 #[test]

@@ -81,7 +81,7 @@ fn timing_free_traces_are_byte_identical_across_worker_counts() {
 #[test]
 fn seeded_report_matches_the_golden_fixture() {
     let trace = timing_free_trace(1);
-    let report = RunReport::from_trace(&trace).expect("trace folds");
+    let report = RunReport::from_trace(&trace);
     let rendered = report.render();
     // `UPDATE_GOLDEN=1 cargo test` rewrites the fixture.
     if std::env::var("UPDATE_GOLDEN").is_ok() {
@@ -98,16 +98,13 @@ fn seeded_report_matches_the_golden_fixture() {
          if the change is intentional, update the fixture"
     );
     // And the report itself is stable under re-folding.
-    assert_eq!(
-        RunReport::from_trace(&trace).expect("trace folds").render(),
-        rendered
-    );
+    assert_eq!(RunReport::from_trace(&trace).render(), rendered);
 }
 
 #[test]
 fn report_json_round_trips_through_the_store_parser() {
     let trace = timing_free_trace(1);
-    let report = RunReport::from_trace(&trace).expect("trace folds");
+    let report = RunReport::from_trace(&trace);
     let json = report.to_json();
     let parsed = cirfix_store::parse_json(&json).expect("report JSON parses");
     assert_eq!(
@@ -131,7 +128,7 @@ fn non_finite_fitness_survives_trace_to_report() {
         r#"{"type":"candidate","patch_len":1,"growth_factor":1.0,"fitness":0.5,"cached":false,"op":"mutation"}"#,
         "\n",
     );
-    let report = RunReport::from_trace(trace).expect("trace folds");
+    let report = RunReport::from_trace(trace);
     let op = report
         .operators
         .iter()
